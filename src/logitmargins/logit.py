@@ -9,8 +9,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .formula import DesignMatrix, TermMap
 
@@ -220,7 +219,7 @@ def fit_stats(fr: FitResult) -> FitStats:
         raise FitError("degenerate covariance: non-positive diagonal")
     se = np.sqrt(diag)
     z = fr.beta / se
-    p = 2.0 * norm.sf(np.abs(z))
+    p = 2.0 * ndtr(-np.abs(z))
     return FitStats(
         pseudo_r2=1.0 - fr.ll / fr.ll0 if fr.ll0 != 0.0 else 0.0,
         aic=2.0 * fr.k - 2.0 * fr.ll,
@@ -272,17 +271,39 @@ def to_json(fr: FitResult, formula_text: str) -> str:
     return "{" + ", ".join(parts) + "}\n"
 
 
+def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
+    if beta.ndim != 1 or not len(beta) == k == term_map.k:
+        raise ValueError(f"beta has shape {beta.shape}, but k={k} and the term map "
+                         f"has {term_map.k} columns")
+    if cov.shape != (k, k):
+        raise ValueError(f"cov has shape {cov.shape}, expected ({k}, {k})")
+    if not (np.isfinite(beta).all() and np.isfinite(cov).all()):
+        raise ValueError("beta and cov must be finite")
+    if not np.array_equal(cov, cov.T):
+        raise ValueError("cov is not symmetric")
+    if (np.diag(cov) <= 0).any():
+        raise ValueError("cov has a non-positive diagonal")
+
+
 def from_json(text: str) -> tuple[FitResult, str]:
-    """Load a fit from model JSON; returns the fit and its formula text."""
+    """Load a fit from model JSON; returns the fit and its formula text.
+
+    Raises ``ValueError`` unless ``beta`` has one entry per term-map column
+    and ``cov`` is a finite, symmetric k x k matrix with a positive diagonal.
+    """
     d = json.loads(text)
     tm = TermMap.from_dict(d["term_map"])
+    beta = np.array(d["beta"], dtype=np.float64)
+    cov = np.array(d["cov"], dtype=np.float64)
+    k = int(d["k"])
+    _check_model(beta, cov, k, tm)
     fr = FitResult(
-        beta=np.array(d["beta"], dtype=np.float64),
-        cov=np.array(d["cov"], dtype=np.float64),
+        beta=beta,
+        cov=cov,
         ll=float(d["ll"]),
         ll0=float(d["ll0"]),
         n=int(d["n"]),
-        k=int(d["k"]),
+        k=k,
         iterations=int(d["iterations"]),
         converged=bool(d["converged"]),
         term_map=tm,

@@ -1,11 +1,27 @@
 """Adjusted predictions and marginal effects with delta-method inference.
 
-Every operation follows the same counterfactual recipe: rewrite the design
-matrix so a chosen variable takes a fixed level or value in every row (the
-term map keeps linked squared columns consistent), push the rows through the
-fitted logit, and average.  Standard errors propagate the coefficient
-covariance through the gradient of that average (delta method); a
-nonparametric bootstrap is available as a cross-check.
+All six margin kinds are one computation.  A request compiles to S
+counterfactual *scenarios* and an R x S *contrast* matrix ``L``.  A scenario
+overrides, in every row, the design columns ``C`` of one or two variables:
+a factor's indicators take the 0/1 pattern of one level, and a continuous
+variable's column takes a value v while its linked square takes v*v, by
+construction.  With the offset ``r = X@b - X[:,C]@b[C]`` computed once, the
+scenarios' linear predictors are ``r + V@b[C]``; the mean of ``expit`` over
+rows is each scenario's estimate.  Output rows are ``L@est``: an AAP, APM or
+APRV row is one scenario, an AME, MEM or MERV row the difference of two.
+
+The delta method needs each scenario's gradient in the coefficients: one
+GEMM ``X.T@W/n`` with ``W = p(1-p)``, whose overridden rows ``C`` are then
+replaced in closed form by ``V.T * mean(W)``.  Standard errors are
+``sqrt(diag(L G' Sigma G L'))``.  Derivative effects average
+``p(1-p) * d eta/dv`` instead of ``p`` and add that slope's closed-form
+gradient.  Effects at each row's observed value use a per-row shift override
+(``v = x_i + delta``), and at-means margins run the same code on the single
+row of :func:`mean_design_row`.
+
+Scenarios are evaluated in blocks of about ``BLOCK_BYTES`` of n x S float64,
+so memory stays flat however long the grid.  A nonparametric bootstrap,
+which asks for estimates only, is available as a cross-check.
 """
 
 from __future__ import annotations
@@ -17,13 +33,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr, ndtri
 
-from .formula import DesignMatrix, TermMap, substitute_matrix
+from .formula import DesignMatrix, TermMap
+# bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
+from .formula import substitute_matrix  # noqa: F401
 from .logit import FitError, FitResult, fit
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
+BLOCK_BYTES = 2 << 20  # n x S float64 per block of scenarios
 
 
 class MarginsError(ValueError):
@@ -36,7 +54,7 @@ def zstar(ci_level: float) -> float:
         raise MarginsError(f"ci_level must be in (0,1), got {ci_level}")
     if abs(ci_level - 0.95) < 1e-12:
         return Z95
-    return float(norm.ppf(0.5 + ci_level / 2.0))
+    return float(ndtri(0.5 + ci_level / 2.0))
 
 
 @dataclass(frozen=True)
@@ -118,61 +136,255 @@ def mean_design_row(X: Union[np.ndarray, DesignMatrix], term_map: TermMap) -> np
     return row
 
 
-def _audit_squares(Xsub: np.ndarray, term_map: TermMap):
-    # every square column must equal its base column squared, row by row
-    for var in term_map.variables:
-        sq = term_map.square_col(var)
-        if sq is None:
-            continue
-        base = Xsub[:, term_map.linear_col(var)]
-        if not np.array_equal(Xsub[:, sq], base * base):
-            raise MarginsError(
-                f"square column of {var!r} is inconsistent with its base column")
+# --- compiling requests into scenarios and contrasts -------------------------
+
+@dataclass(frozen=True)
+class _Plan:
+    """A margin request compiled to S scenarios and an R x S contrast ``L``.
+
+    Scenario s sets the indicator columns ``fcols`` to ``fvals[s]`` and the
+    continuous column ``lin`` to ``values[s]`` (its square ``sq`` to the
+    square); with ``shift`` the value is an offset from each row's own
+    value.  ``slope`` averages the derivative p(1-p) d eta/dv instead of p.
+    """
+
+    rows: np.ndarray  # (n, k) design rows the scenarios average over
+    fcols: list[int]
+    fvals: np.ndarray  # (S, len(fcols))
+    lin: Optional[int]
+    sq: Optional[int]
+    values: np.ndarray  # (S,)
+    shift: bool
+    slope: bool
+    L: np.ndarray  # (R, S)
+    labels: tuple[str, ...]
+    at: tuple[Optional[float], ...]
+    extrapolated: tuple[bool, ...]
 
 
-def _rows(fr: FitResult, X, atmeans: bool) -> np.ndarray:
+def _plan(fr: FitResult, X, specs, *, factor: Optional[str] = None,
+          var: Optional[str] = None, atmeans: bool = False, shift: bool = False,
+          slope: bool = False) -> _Plan:
+    """Deduplicate the scenarios of ``specs`` and build their contrast.
+
+    ``specs`` holds one (label, at, plus, minus) tuple per output row;
+    ``plus`` and ``minus`` are scenario keys (factor level, value), and a
+    row without ``minus`` is the ``plus`` scenario alone.
+    """
+    tm = _term_map(fr)
     arr = _design_array(X)
+    keys = list(dict.fromkeys(key for *_, plus, minus in specs
+                              for key in (plus, minus) if key is not None))
+    index = {key: s for s, key in enumerate(keys)}
+    L = np.zeros((len(specs), len(keys)))
+    for r, (*_, plus, minus) in enumerate(specs):
+        L[r, index[plus]] += 1.0
+        if minus is not None:
+            L[r, index[minus]] -= 1.0
+
+    fcols: list[int] = []
+    fvals = np.zeros((len(keys), 0))
+    if factor is not None:
+        nonref = [lv for lv in tm.factor_levels[factor] if lv != tm.reference[factor]]
+        fcols = [tm.indicator_col(factor, lv) for lv in nonref]
+        fvals = np.array([[float(level == lv) for lv in nonref] for level, _ in keys],
+                         dtype=np.float64).reshape(len(keys), len(nonref))
+    lin = sq = None
+    extrapolated = [False] * len(specs)
+    if var is not None:
+        lin, sq = tm.linear_col(var), tm.square_col(var)
+        lo, hi = float(arr[:, lin].min()), float(arr[:, lin].max())
+        extrapolated = [at is not None and not lo <= at <= hi for _, at, _, _ in specs]
+    return _Plan(rows=mean_design_row(arr, tm)[None, :] if atmeans else arr,
+                 fcols=fcols, fvals=fvals, lin=lin, sq=sq,
+                 values=np.array([0.0 if v is None else v for _, v in keys]),
+                 shift=shift, slope=slope, L=L,
+                 labels=tuple(s[0] for s in specs), at=tuple(s[1] for s in specs),
+                 extrapolated=tuple(extrapolated))
+
+
+def _factor_levels(tm: TermMap, var: str) -> tuple[str, ...]:
+    if not tm.is_factor(var):
+        raise MarginsError(f"{var!r} is not a factor in the model")
+    return tm.factor_levels[var]
+
+
+def _check_continuous(tm: TermMap, var: str):
+    try:
+        tm.linear_col(var)
+    except KeyError:
+        raise MarginsError(f"{var!r} is not a continuous variable in the model") from None
+
+
+def _prefix(atmeans: bool, effect: bool, representative: bool = False) -> str:
     if atmeans:
-        return mean_design_row(arr, _term_map(fr))[None, :]
-    return arr
+        return "MEM" if effect else "APM"
+    if representative:
+        return "MERV" if effect else "APRV"
+    return "AME" if effect else "AAP"
 
 
-def _aap_est_grad(beta: np.ndarray, Xsub: np.ndarray):
-    p = expit(Xsub @ beta)
-    w = p * (1.0 - p)
-    est = float(p.mean())
-    grad = (Xsub * w[:, None]).mean(axis=0)
-    return est, grad
+def _factor_plan(fr: FitResult, X, factor: str, levels: Sequence[str], *,
+                 base: Optional[str] = None, var: Optional[str] = None,
+                 grid: Optional[Sequence[float]] = None, atmeans: bool = False) -> _Plan:
+    """One row per level (and grid value of ``var``): a prediction, or with
+    ``base`` the contrast against the base level."""
+    tm = _term_map(fr)
+    known = _factor_levels(tm, factor)
+    for level in (*levels, base):
+        if level is not None and level not in known:
+            raise MarginsError(f"unknown level {level!r} for factor {factor!r}")
+    points: Sequence[Optional[float]] = (None,)
+    if grid is not None:
+        _check_grid(grid)
+        _check_continuous(tm, var)
+        points = [float(v) for v in grid]
+    prefix = _prefix(atmeans, base is not None, representative=grid is not None)
+    suffix = "" if base is None else f"-{base}"
+    specs = [(f"{prefix} {factor}={level}{suffix}", v, (level, v),
+              None if base is None else (base, v))
+             for level in levels for v in points]
+    return _plan(fr, X, specs, factor=factor, var=var, atmeans=atmeans)
 
 
-def _row_from(label: str, at_value, est: float, grad: np.ndarray, cov: np.ndarray,
-              ci_level: float, extrapolated: bool = False) -> MarginRow:
-    var = float(grad @ cov @ grad)
-    se = math.sqrt(var) if var > 0 else 0.0
-    if se > 0:
-        z = est / se
-        p = 2.0 * float(norm.sf(abs(z)))
+def _continuous_plan(fr: FitResult, X, var: str, grid: Optional[Sequence[float]], *,
+                     atmeans: bool = False, effect: bool = False,
+                     discrete: bool = False) -> _Plan:
+    """Predictions or effects of ``var`` over a grid; ``grid=None`` means an
+    effect at each row's observed value."""
+    if grid is not None:
+        _check_grid(grid)
+    _check_continuous(_term_map(fr), var)
+    label = f"{_prefix(atmeans, effect)} {var}"
+    slope = effect and not discrete
+    if grid is None:
+        label = label if atmeans else f"{label} (observed)"
+        spec = (label, None, (None, 1.0), (None, 0.0)) if discrete else (
+            label, None, (None, 0.0), None)
+        return _plan(fr, X, [spec], var=var, atmeans=atmeans, shift=True, slope=slope)
+    points = [float(v) for v in grid]
+    if effect and discrete:
+        specs = [(label, v, (None, v + 1.0), (None, v)) for v in points]
     else:
-        z = 0.0 if est == 0.0 else math.copysign(math.inf, est)
-        p = 1.0 if est == 0.0 else 0.0
-    half = zstar(ci_level) * se
-    return MarginRow(label=label, at_value=at_value, estimate=est, se=se, z=z, p=p,
-                     ci_low=est - half, ci_high=est + half, extrapolated=extrapolated)
+        specs = [(label, v, (None, v), None) for v in points]
+    return _plan(fr, X, specs, var=var, atmeans=atmeans, slope=slope)
 
+
+def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
+    tm = _term_map(fr)
+    atmeans = request.kind in ("apm", "mem")
+    effect = request.kind in ("ame", "mem", "merv")
+    target = request.target
+
+    if request.kind in ("aprv", "merv") or tm.is_factor(target):
+        if request.kind in ("aprv", "merv") and request.at is None:
+            raise MarginsError("representative-value margins need an `at` grid")
+        levels = _factor_levels(tm, target)
+        levels = request.levels or levels
+        base = None
+        if effect:
+            base = request.base or tm.reference[target]
+            levels = [level for level in levels if level != base]
+        at_var, grid = request.at or (None, None)
+        return _factor_plan(fr, X, target, levels, base=base, var=at_var, grid=grid,
+                            atmeans=atmeans)
+
+    grid = None
+    if request.at is not None:
+        at_var, grid = request.at
+        if at_var != target:
+            raise MarginsError("`at` grid variable must match a continuous target")
+    elif not effect:
+        raise MarginsError("adjusted predictions for a continuous variable need an `at` grid")
+    return _continuous_plan(fr, X, target, grid, atmeans=atmeans, effect=effect,
+                            discrete=request.discrete)
+
+
+# --- the counterfactual kernel ----------------------------------------------
+
+def _avg(A: np.ndarray, z) -> np.ndarray:
+    # column means of A * z for a per-row (n, S) or per-scenario (S,) z
+    return (A * z).mean(axis=0) if np.ndim(z) == 2 else z * A.mean(axis=0)
+
+
+def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True):
+    """Row estimates ``L@est`` and, with ``gradients``, their (k, R) gradients."""
+    X = plan.rows
+    n, k = X.shape
+    C = [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]
+    r = X @ beta - X[:, C] @ beta[C]
+    b_lin = beta[plan.lin] if plan.lin is not None else 0.0
+    b_sq = beta[plan.sq] if plan.sq is not None else 0.0
+    fixed = plan.fvals @ beta[plan.fcols]
+    own = X[:, plan.lin, None] if plan.shift else 0.0
+    S = len(plan.values)
+    est = np.empty(S)
+    G = np.empty((k, S))
+
+    # a function per block, so that a block's n x S arrays are freed before
+    # the next block allocates its own
+    def block(blk: slice):
+        u = own + plan.values[blk]
+        eta = r[:, None] + (fixed[blk] + b_lin * u + b_sq * (u * u))
+        P = expit(eta, out=eta)
+        W = 1.0 - P
+        W *= P
+        if plan.slope:
+            F = W * (b_lin + 2.0 * b_sq * u)
+            D = P  # (1 - 2p) * F, in place of p
+            D *= -2.0
+            D += 1.0
+            D *= F
+        else:
+            F, D = P, W
+        est[blk] = F.mean(axis=0)
+        if not gradients:
+            return
+        Gb = X.T @ D / n
+        Gb[plan.fcols] = plan.fvals[blk].T * D.mean(axis=0)
+        if plan.lin is not None:
+            Gb[plan.lin] = _avg(D, u)
+            if plan.slope:
+                Gb[plan.lin] += W.mean(axis=0)
+        if plan.sq is not None:
+            Gb[plan.sq] = _avg(D, u * u)
+            if plan.slope:
+                Gb[plan.sq] += 2.0 * _avg(W, u)
+        G[:, blk] = Gb
+
+    step = max(1, BLOCK_BYTES // (8 * n))
+    for s0 in range(0, S, step):
+        block(slice(s0, s0 + step))
+    return plan.L @ est, (G @ plan.L.T if gradients else None)
+
+
+def _margin_rows(plan: _Plan, est: np.ndarray, se: np.ndarray,
+                 ci_level: float) -> list[MarginRow]:
+    zs = zstar(ci_level)
+    z = np.array([e / s if s > 0 else (0.0 if e == 0.0 else math.copysign(math.inf, e))
+                  for e, s in zip(est, se)])
+    p = 2.0 * ndtr(-np.abs(z))
+    return [MarginRow(label=label, at_value=at, estimate=float(e), se=float(s),
+                      z=float(zz), p=float(pp), ci_low=float(e - zs * s),
+                      ci_high=float(e + zs * s), extrapolated=x)
+            for label, at, x, e, s, zz, pp in zip(
+                plan.labels, plan.at, plan.extrapolated, est, se, z, p)]
+
+
+def _delta_rows(fr: FitResult, plan: _Plan, ci_level: float) -> list[MarginRow]:
+    est, G = _evaluate(plan, fr.beta)
+    var = np.einsum("kr,kr->r", fr.cov @ G, G)
+    se = np.sqrt(np.where(var > 0, var, 0.0))
+    return _margin_rows(plan, est, se, ci_level)
+
+
+# --- public front-ends --------------------------------------------------------
 
 def aap_factor(fr: FitResult, X, var: str, level: str, *,
                atmeans: bool = False, ci_level: float = 0.95) -> MarginRow:
     """Average adjusted prediction with every row assigned to ``level``."""
-    tm = _term_map(fr)
-    rows = _rows(fr, X, atmeans)
-    try:
-        Xsub = substitute_matrix(rows, tm, var, level)
-    except (KeyError, ValueError) as exc:
-        raise MarginsError(str(exc)) from exc
-    _audit_squares(Xsub, tm)
-    est, grad = _aap_est_grad(fr.beta, Xsub)
-    prefix = "APM" if atmeans else "AAP"
-    return _row_from(f"{prefix} {var}={level}", None, est, grad, fr.cov, ci_level)
+    return _delta_rows(fr, _factor_plan(fr, X, var, (level,), atmeans=atmeans),
+                       ci_level)[0]
 
 
 def ame_factor(fr: FitResult, X, var: str, level: str, base: str, *,
@@ -182,25 +394,8 @@ def ame_factor(fr: FitResult, X, var: str, level: str, base: str, *,
     Both averages share the same observed rows, so the estimate equals the
     difference of the two AAP estimates exactly.
     """
-    tm = _term_map(fr)
-    rows = _rows(fr, X, atmeans)
-    try:
-        X_level = substitute_matrix(rows, tm, var, level)
-        X_base = substitute_matrix(rows, tm, var, base)
-    except (KeyError, ValueError) as exc:
-        raise MarginsError(str(exc)) from exc
-    _audit_squares(X_level, tm)
-    est_l, grad_l = _aap_est_grad(fr.beta, X_level)
-    est_b, grad_b = _aap_est_grad(fr.beta, X_base)
-    prefix = "MEM" if atmeans else "AME"
-    return _row_from(f"{prefix} {var}={level}-{base}", None,
-                     est_l - est_b, grad_l - grad_b, fr.cov, ci_level)
-
-
-def _observed_range(fr: FitResult, X, var: str):
-    arr = _design_array(X)
-    col = arr[:, _term_map(fr).linear_col(var)]
-    return float(col.min()), float(col.max())
+    plan = _factor_plan(fr, X, var, (level,), base=base, atmeans=atmeans)
+    return _delta_rows(fr, plan, ci_level)[0]
 
 
 def aap_continuous_at(fr: FitResult, X, var: str, grid: Sequence[float], *,
@@ -211,65 +406,7 @@ def aap_continuous_at(fr: FitResult, X, var: str, grid: Sequence[float], *,
     update together) and the predictions averaged.  Rows evaluated outside
     the observed range of ``var`` are flagged ``extrapolated``.
     """
-    _check_grid(grid)
-    tm = _term_map(fr)
-    lo, hi = _observed_range(fr, X, var)
-    rows = _rows(fr, X, atmeans)
-    prefix = "APM" if atmeans else "AAP"
-    out = []
-    for v in grid:
-        Xsub = substitute_matrix(rows, tm, var, v)
-        _audit_squares(Xsub, tm)
-        est, grad = _aap_est_grad(fr.beta, Xsub)
-        out.append(_row_from(f"{prefix} {var}", float(v), est, grad, fr.cov,
-                             ci_level, extrapolated=not lo <= v <= hi))
-    return out
-
-
-def _slope_cols(tm: TermMap, var: str):
-    lin = tm.linear_col(var)
-    sq = tm.square_col(var)
-    return lin, sq
-
-
-def _ame_cont_est_grad(beta, X, tm, var, v):
-    """Instantaneous-derivative AME and its delta-method gradient.
-
-    ``v is None`` means each row keeps its own observed value; otherwise
-    every row is evaluated with ``var`` substituted at ``v``.
-    """
-    lin, sq = _slope_cols(tm, var)
-    b_lin = beta[lin]
-    b_sq = beta[sq] if sq is not None else 0.0
-    if v is None:
-        Xe = np.asarray(X, dtype=np.float64)
-        vals = Xe[:, lin]
-    else:
-        Xe = substitute_matrix(X, tm, var, v)
-        vals = np.full(Xe.shape[0], float(v))
-    _audit_squares(Xe, tm)
-    p = expit(Xe @ beta)
-    w = p * (1.0 - p)
-    slope = b_lin + 2.0 * b_sq * vals
-    m = w * slope
-    est = float(m.mean())
-    # d m_i / d beta = w(1-2p) * slope * x_i + w * e_i,
-    # e_i being 1 at the linear column and 2 v_i at the square column
-    grad = (Xe * (w * (1.0 - 2.0 * p) * slope)[:, None]).mean(axis=0)
-    grad[lin] += w.mean()
-    if sq is not None:
-        grad[sq] += float((2.0 * vals * w).mean())
-    return est, grad
-
-
-def _shift_by_one(X: np.ndarray, tm: TermMap, var: str) -> np.ndarray:
-    out = np.array(X, dtype=np.float64, copy=True)
-    lin = tm.linear_col(var)
-    out[:, lin] = out[:, lin] + 1.0
-    sq = tm.square_col(var)
-    if sq is not None:
-        out[:, sq] = out[:, lin] * out[:, lin]
-    return out
+    return _delta_rows(fr, _continuous_plan(fr, X, var, grid, atmeans=atmeans), ci_level)
 
 
 def ame_continuous_at(fr: FitResult, X, var: str,
@@ -285,34 +422,13 @@ def ame_continuous_at(fr: FitResult, X, var: str,
     its own value and a single averaged row is returned; otherwise one row
     per grid value.
     """
-    tm = _term_map(fr)
-    rows = _rows(fr, X, atmeans)
-    prefix = "MEM" if atmeans else "AME"
-
-    def one(v):
-        if discrete:
-            base = rows if v is None else substitute_matrix(rows, tm, var, float(v))
-            upper = _shift_by_one(base, tm, var)
-            _audit_squares(upper, tm)
-            est_u, grad_u = _aap_est_grad(fr.beta, upper)
-            est_b, grad_b = _aap_est_grad(fr.beta, base)
-            return est_u - est_b, grad_u - grad_b
-        return _ame_cont_est_grad(fr.beta, rows, tm, var, v)
-
     if isinstance(grid, str):
         if grid != "observed":
             raise MarginsError(f"grid must be a sequence or 'observed', got {grid!r}")
-        est, grad = one(None)
-        label = f"{prefix} {var}" if atmeans else f"{prefix} {var} (observed)"
-        return [_row_from(label, None, est, grad, fr.cov, ci_level)]
-    _check_grid(grid)
-    lo, hi = _observed_range(fr, X, var)
-    out = []
-    for v in grid:
-        est, grad = one(float(v))
-        out.append(_row_from(f"{prefix} {var}", float(v), est, grad, fr.cov,
-                             ci_level, extrapolated=not lo <= v <= hi))
-    return out
+        grid = None
+    plan = _continuous_plan(fr, X, var, grid, atmeans=atmeans, effect=True,
+                            discrete=discrete)
+    return _delta_rows(fr, plan, ci_level)
 
 
 def aprv(fr: FitResult, X, factor: str, levels: Sequence[str], var: str,
@@ -320,24 +436,8 @@ def aprv(fr: FitResult, X, factor: str, levels: Sequence[str], var: str,
          ci_level: float = 0.95) -> list[MarginRow]:
     """Adjusted predictions at representative values: fix a factor level and a
     continuous value together, averaged over rows; one row per (level, v)."""
-    _check_grid(grid)
-    tm = _term_map(fr)
-    lo, hi = _observed_range(fr, X, var)
-    rows = _rows(fr, X, atmeans)
-    prefix = "APM" if atmeans else "APRV"
-    out = []
-    for level in levels:
-        try:
-            X_level = substitute_matrix(rows, tm, factor, level)
-        except (KeyError, ValueError) as exc:
-            raise MarginsError(str(exc)) from exc
-        for v in grid:
-            Xsub = substitute_matrix(X_level, tm, var, float(v))
-            _audit_squares(Xsub, tm)
-            est, grad = _aap_est_grad(fr.beta, Xsub)
-            out.append(_row_from(f"{prefix} {factor}={level}", float(v), est, grad,
-                                 fr.cov, ci_level, extrapolated=not lo <= v <= hi))
-    return out
+    plan = _factor_plan(fr, X, factor, levels, var=var, grid=grid, atmeans=atmeans)
+    return _delta_rows(fr, plan, ci_level)
 
 
 def merv(fr: FitResult, X, factor: str, level: str, base: str, var: str,
@@ -345,81 +445,14 @@ def merv(fr: FitResult, X, factor: str, level: str, base: str, var: str,
          ci_level: float = 0.95) -> list[MarginRow]:
     """Marginal effects at representative values: APRV(level) - APRV(base)
     per grid value, with the delta-method gradient of the difference."""
-    _check_grid(grid)
-    tm = _term_map(fr)
-    lo, hi = _observed_range(fr, X, var)
-    rows = _rows(fr, X, atmeans)
-    try:
-        X_level = substitute_matrix(rows, tm, factor, level)
-        X_base = substitute_matrix(rows, tm, factor, base)
-    except (KeyError, ValueError) as exc:
-        raise MarginsError(str(exc)) from exc
-    prefix = "MEM" if atmeans else "MERV"
-    out = []
-    for v in grid:
-        Xl = substitute_matrix(X_level, tm, var, float(v))
-        Xb = substitute_matrix(X_base, tm, var, float(v))
-        _audit_squares(Xl, tm)
-        est_l, grad_l = _aap_est_grad(fr.beta, Xl)
-        est_b, grad_b = _aap_est_grad(fr.beta, Xb)
-        out.append(_row_from(f"{prefix} {factor}={level}-{base}", float(v),
-                             est_l - est_b, grad_l - grad_b, fr.cov, ci_level,
-                             extrapolated=not lo <= v <= hi))
-    return out
-
-
-def _factor_levels(tm: TermMap, var: str) -> tuple[str, ...]:
-    if not tm.is_factor(var):
-        raise MarginsError(f"{var!r} is not a factor in the model")
-    return tm.factor_levels[var]
+    plan = _factor_plan(fr, X, factor, (level,), base=base, var=var, grid=grid,
+                        atmeans=atmeans)
+    return _delta_rows(fr, plan, ci_level)
 
 
 def compute_margins(fr: FitResult, X, request: MarginRequest) -> list[MarginRow]:
     """Route a :class:`MarginRequest` to the appropriate operation."""
-    tm = _term_map(fr)
-    atmeans = request.kind in ("apm", "mem")
-    effect = request.kind in ("ame", "mem", "merv")
-    ci = request.ci_level
-    target = request.target
-
-    if request.kind in ("aprv", "merv") or (tm.is_factor(target) and request.at is not None):
-        if request.at is None:
-            raise MarginsError("representative-value margins need an `at` grid")
-        levels = request.levels or _factor_levels(tm, target)
-        at_var, grid = request.at
-        if effect:
-            base = request.base or tm.reference[target]
-            rows: list[MarginRow] = []
-            for level in levels:
-                if level == base:
-                    continue
-                rows.extend(merv(fr, X, target, level, base, at_var, grid,
-                                 atmeans=atmeans, ci_level=ci))
-            return rows
-        return aprv(fr, X, target, levels, at_var, grid, atmeans=atmeans, ci_level=ci)
-
-    if tm.is_factor(target):
-        levels = request.levels or _factor_levels(tm, target)
-        if effect:
-            base = request.base or tm.reference[target]
-            return [ame_factor(fr, X, target, level, base, atmeans=atmeans, ci_level=ci)
-                    for level in levels if level != base]
-        return [aap_factor(fr, X, target, level, atmeans=atmeans, ci_level=ci)
-                for level in levels]
-
-    # continuous target
-    if request.at is not None:
-        at_var, grid = request.at
-        if at_var != target:
-            raise MarginsError("`at` grid variable must match a continuous target")
-        if effect:
-            return ame_continuous_at(fr, X, target, grid, atmeans=atmeans,
-                                     discrete=request.discrete, ci_level=ci)
-        return aap_continuous_at(fr, X, target, grid, atmeans=atmeans, ci_level=ci)
-    if effect:
-        return ame_continuous_at(fr, X, target, "observed", atmeans=atmeans,
-                                 discrete=request.discrete, ci_level=ci)
-    raise MarginsError("adjusted predictions for a continuous variable need an `at` grid")
+    return _delta_rows(fr, _compile(fr, X, request), request.ci_level)
 
 
 @dataclass(frozen=True)
@@ -443,7 +476,8 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
     full_fit = fit(design, max_iter=max_iter, tol=tol)
-    full_rows = compute_margins(full_fit, design, request)
+    plan = _compile(full_fit, design, request)
+    full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
     n = design.n
     children = np.random.SeedSequence(seed).spawn(reps)
 
@@ -454,10 +488,9 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         yb = design.y[idx]
         try:
             fr = fit(Xb, yb, max_iter=max_iter, tol=tol, term_map=design.term_map)
-            rows = compute_margins(fr, Xb, request)
+            return _evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0]
         except (FitError, MarginsError):
             return None
-        return np.array([r.estimate for r in rows])
 
     if workers is None:
         workers = int(os.environ.get("MARGINS_THREADS", "1"))
@@ -471,22 +504,8 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     failures = reps - len(kept)
     if failures > 0.10 * reps:
         raise MarginsError(f"{failures}/{reps} bootstrap replicates failed to fit")
-    estimates = np.vstack(kept)
-    ses = estimates.std(axis=0, ddof=1)
-    zs = zstar(request.ci_level)
-    rows = []
-    for row, se in zip(full_rows, map(float, ses)):
-        if se > 0:
-            z = row.estimate / se
-            p = 2.0 * float(norm.sf(abs(z)))
-        else:
-            z = 0.0 if row.estimate == 0.0 else math.copysign(math.inf, row.estimate)
-            p = 1.0 if row.estimate == 0.0 else 0.0
-        rows.append(MarginRow(label=row.label, at_value=row.at_value,
-                              estimate=row.estimate, se=se, z=z, p=p,
-                              ci_low=row.estimate - zs * se,
-                              ci_high=row.estimate + zs * se,
-                              extrapolated=row.extrapolated))
+    ses = np.vstack(kept).std(axis=0, ddof=1)
+    rows = _margin_rows(plan, full_est, ses, request.ci_level)
     return BootstrapResult(rows=rows, replicates=reps, failures=failures)
 
 

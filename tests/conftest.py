@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import logitmargins as lm
+from logitmargins.margins import _compile, _evaluate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -14,6 +16,18 @@ DATA_DIR = Path(__file__).parent / "data"
 CORPUS_SEED = 7        # n=15426 default corpus: ybar 0.2207, max |z-dev| 1.35
 BOOT_CORPUS_SEED = 61  # n=2000 corpus for bootstrap cross-checks
 BOOT_SEED = 1101
+
+# property tests draw the same examples on every run and stay within a few
+# seconds, so the suite remains reproducible
+settings.register_profile("repro", derandomize=True, max_examples=100, deadline=None,
+                          database=None, print_blob=True)
+settings.load_profile("repro")
+
+
+def kernel_gradient(fr, design, request) -> np.ndarray:
+    """Delta-method gradient of a request's first row, from the margin kernel."""
+    _, grad = _evaluate(_compile(fr, design, request), fr.beta)
+    return grad[:, 0]
 
 
 def toy_dataset() -> lm.Dataset:

@@ -96,9 +96,48 @@ class ToyModel:
             total += p * (1.0 - p) * slope
         return total / self.n
 
+    def ame_observed(self, beta, var) -> float:
+        # the derivative with every row at its own value of var
+        lin, sq = self._cont_cols(var)
+        total = 0.0
+        for i in range(self.n):
+            v = float(self.raw[var][i])
+            slope = beta[lin] + (2.0 * beta[sq] * v if sq is not None else 0.0)
+            p = sigmoid(_dot(self.row(i, {}), beta))
+            total += p * (1.0 - p) * slope
+        return total / self.n
+
+    def ame_unit(self, beta, var, v=None) -> float:
+        # mean[p(v+1) - p(v)]; v=None keeps each row's own value
+        total = 0.0
+        for i in range(self.n):
+            at = float(self.raw[var][i]) if v is None else v
+            total += (sigmoid(_dot(self.row(i, {var: at + 1.0}), beta))
+                      - sigmoid(_dot(self.row(i, {var: at}), beta)))
+        return total / self.n
+
+    def mem_derivative(self, beta, var, v=None) -> float:
+        # the derivative at the mean row, var at v (default: its mean)
+        lin, sq = self._cont_cols(var)
+        cells = self.mean_row()
+        if v is not None:
+            cells = self._override_mean_row(cells, var, v)
+        slope = beta[lin] + (2.0 * beta[sq] * cells[lin] if sq is not None else 0.0)
+        p = sigmoid(_dot(cells, beta))
+        return p * (1.0 - p) * slope
+
+    def mem_unit(self, beta, var, v=None) -> float:
+        lin, _ = self._cont_cols(var)
+        at = self.mean_row()[lin] if v is None else v
+        return self.apm_at(beta, {var: at + 1.0}) - self.apm_at(beta, {var: at})
+
     def apm(self, beta, var, value) -> float:
-        row = self.mean_row()
-        cells = self._override_mean_row(row, var, value)
+        return self.apm_at(beta, {var: value})
+
+    def apm_at(self, beta, overrides: dict) -> float:
+        cells = self.mean_row()
+        for var, value in overrides.items():
+            cells = self._override_mean_row(cells, var, value)
         return sigmoid(_dot(cells, beta))
 
     def mem(self, beta, var, value, base) -> float:

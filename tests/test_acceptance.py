@@ -19,9 +19,8 @@ from scipy.special import expit
 
 import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap
-from logitmargins.margins import _aap_est_grad, _ame_cont_est_grad
 from oracles import ToyModel, fd_gradient
-from conftest import BOOT_SEED, CORPUS_SEED, toy_dataset
+from conftest import BOOT_SEED, CORPUS_SEED, kernel_gradient, toy_dataset
 
 MODEL3 = ("top10 ~ C(univ) + C(subject) + C(doctype) + jif + jif^2 + years "
           "+ authors + pages + pages^2")
@@ -146,13 +145,13 @@ def test_c05_gradient_oracles(toy_fit):
     margin_err = 0.0
 
     Xsub = lm.substitute_matrix(design.X, tm, "g", "c")
-    _, grad = _aap_est_grad(fr.beta, Xsub)
+    grad = kernel_gradient(fr, design, lm.MarginRequest("aap", "g", levels=("c",)))
     fd = fd_gradient(lambda b: float(expit(Xsub @ b).mean()), fr.beta)
     margin_err = max(margin_err,
                      float(np.max(np.abs(grad - fd))) / float(np.max(np.abs(grad))))
 
     for v in (0.8, 2.4):
-        _, grad = _ame_cont_est_grad(fr.beta, design.X, tm, "x", v)
+        grad = kernel_gradient(fr, design, lm.MarginRequest("ame", "x", at=("x", (v,))))
 
         def ame_est(b, v=v):
             Xs = lm.substitute_matrix(design.X, tm, "x", v)

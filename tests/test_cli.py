@@ -227,3 +227,31 @@ def test_missing_model_file(workspace):
                 "--data", str(workspace / "s.csv"), "--aap", "C(univ)")
     assert r.returncode == 1
     assert "cannot read model" in r.stderr
+
+
+def test_malformed_model_json_exits_1(workspace, tmp_path):
+    d = json.loads((workspace / "m.json").read_text())
+    d["cov"][0][1] = d["cov"][0][1] + 1.0  # no longer symmetric
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    r = run_cli("margins", "--model", str(bad), "--data", str(workspace / "s.csv"),
+                "--aap", "C(univ)")
+    assert r.returncode == 1
+    assert "cannot read model" in r.stderr and "symmetric" in r.stderr
+
+
+def test_unknown_grid_variable_exits_1(workspace):
+    r = run_cli("margins", "--model", str(workspace / "m.json"),
+                "--data", str(workspace / "s.csv"), "--at", "foo=0:2:1")
+    assert r.returncode == 1
+    assert "'foo' is not a continuous variable" in r.stderr
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the import time and the package needs only
+    # the normal cdf and quantile, which scipy.special provides
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, logitmargins; print('scipy.stats' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

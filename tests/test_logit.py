@@ -239,3 +239,38 @@ def test_model_json_round_trip(toy_fit):
     assert np.array_equal(back.cov, fr.cov)
     assert back.ll == fr.ll and back.ll0 == fr.ll0
     assert back.term_map == fr.term_map
+
+
+def _mangle(d: dict, field: str):
+    k = d["k"]
+    cov = np.array(d["cov"])
+    if field == "short_beta":
+        d["beta"] = d["beta"][:-1]
+    elif field == "k":
+        d["k"] = k + 1
+    elif field == "cov_shape":
+        d["cov"] = cov[:-1].tolist()
+    elif field == "cov_nan":
+        d["cov"][1][1] = float("nan")
+    elif field == "beta_inf":
+        d["beta"][0] = float("inf")
+    elif field == "asymmetric":
+        d["cov"][0][1] = d["cov"][0][1] * 2.0 + 1.0
+    elif field == "diagonal":
+        d["cov"][2][2] = -abs(d["cov"][2][2])
+    elif field == "ragged":
+        d["cov"][0] = d["cov"][0][:-1]
+    return d
+
+
+@pytest.mark.parametrize("field, message", [
+    ("short_beta", "beta has shape"), ("k", "beta has shape"),
+    ("cov_shape", "cov has shape"), ("cov_nan", "finite"), ("beta_inf", "finite"),
+    ("asymmetric", "symmetric"), ("diagonal", "non-positive diagonal"),
+    ("ragged", None),
+])
+def test_model_json_rejects_malformed_fit(toy_fit, field, message):
+    fr, _ = toy_fit
+    d = _mangle(json.loads(to_json(fr, "y ~ C(g) + x + x^2")), field)
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps(d))

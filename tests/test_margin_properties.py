@@ -1,0 +1,167 @@
+"""Property tests: the counterfactual kernel against the loop oracles.
+
+Each example is a random small design with a 3-4 level factor ``g``, a
+continuous ``x`` with a linked square and a bystander ``z``, plus one margin
+request of any kind.  Coefficients and covariance are drawn directly rather
+than fitted: the margin computation never needs them to be a maximum of the
+likelihood, and every draw is then usable.
+"""
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+import logitmargins as lm
+from logitmargins.dataset import BinaryColumn, CategoricalColumn, ContinuousColumn
+from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
+from oracles import ToyModel, fd_gradient
+
+LEVELS = ("a", "b", "c", "d")
+GRID_POINTS = tuple(-3.0 + 0.5 * i for i in range(15))
+RTOL = 1e-9
+ATOL = 1e-13  # effects can sit near zero, where a relative bound means nothing
+IDENTITY_TOL = 1e-12
+# every route through compute_margins: (kind, target, with an `at` grid)
+SHAPES = (
+    ("aap", "g", False), ("ame", "g", False), ("apm", "g", False), ("mem", "g", False),
+    ("aprv", "g", True), ("merv", "g", True), ("apm", "g", True), ("mem", "g", True),
+    ("aap", "x", True), ("apm", "x", True), ("ame", "x", True), ("ame", "x", False),
+    ("mem", "x", True), ("mem", "x", False),
+)
+
+
+@st.composite
+def cases(draw):
+    n_levels = draw(st.integers(3, 4))
+    levels = LEVELS[:n_levels]
+    n = draw(st.integers(n_levels + 4, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # every level observed at least once
+    codes = np.concatenate([np.arange(n_levels),
+                            rng.integers(0, n_levels, n - n_levels)]).astype(np.int64)
+    x = rng.uniform(-2.0, 3.0, n)
+    z = rng.normal(size=n)
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    ds = lm.Dataset("prop", (BinaryColumn("y", y), CategoricalColumn("g", levels, codes),
+                             ContinuousColumn("x", x), ContinuousColumn("z", z)))
+    design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x + x^2 + z"))
+    k = design.k
+    beta = rng.normal(scale=0.8, size=k)
+    beta[design.term_map.square_col("x")] *= 0.3
+    A = rng.normal(scale=0.1, size=(k, k))
+    cov = A @ A.T + 1e-3 * np.eye(k)
+    fr = lm.FitResult(beta=beta, cov=cov, ll=-1.0, ll0=-1.0, n=n, k=k, iterations=1,
+                      converged=True, term_map=design.term_map)
+    oracle = ToyModel(factors={"g": levels[1:]}, continuous={"x": True, "z": False},
+                      raw={"g": [levels[c] for c in codes], "x": list(x), "z": list(z)})
+
+    kind, target, with_grid = draw(st.sampled_from(SHAPES))
+    grid = tuple(sorted(draw(st.lists(st.sampled_from(GRID_POINTS), min_size=1,
+                                      max_size=3, unique=True))))
+    request = MarginRequest(
+        kind=kind, target=target, at=("x", grid) if with_grid else None,
+        discrete=draw(st.booleans()),
+        levels=draw(st.none() | st.lists(st.sampled_from(levels), min_size=1,
+                                         max_size=3, unique=True).map(tuple)),
+        base=draw(st.none() | st.sampled_from(levels)))
+    return fr, design, oracle, request
+
+
+def oracle_rows(oracle: ToyModel, beta, request: MarginRequest, levels) -> list[float]:
+    """The request's rows, in output order, from the loop oracles."""
+    atmeans = request.kind in ("apm", "mem")
+    effect = request.kind in ("ame", "mem", "merv")
+    if request.target == "g":
+        chosen = request.levels or levels
+        points = request.at[1] if request.at else (None,)
+
+        def pred(level, v):
+            over = {"g": level} if v is None else {"g": level, "x": v}
+            if atmeans:
+                return oracle.apm_at(beta, over)
+            if v is None:
+                return oracle.aap(beta, "g", level)
+            return oracle.aprv(beta, "g", level, "x", v)
+
+        if not effect:
+            return [pred(level, v) for level in chosen for v in points]
+        base = request.base or levels[0]
+        if atmeans:
+            return [pred(level, v) - pred(base, v)
+                    for level in chosen if level != base for v in points]
+        if request.at is None:
+            return [oracle.ame(beta, "g", level, base) for level in chosen if level != base]
+        return [oracle.merv(beta, "g", level, base, "x", v)
+                for level in chosen if level != base for v in points]
+
+    points = request.at[1] if request.at else (None,)
+    if not effect:
+        if atmeans:
+            return [oracle.apm(beta, "x", v) for v in points]
+        return [oracle.aap(beta, "x", v) for v in points]
+    if request.discrete:
+        unit = oracle.mem_unit if atmeans else oracle.ame_unit
+        return [unit(beta, "x", v) for v in points]
+    if atmeans:
+        return [oracle.mem_derivative(beta, "x", v) for v in points]
+    if request.at is None:
+        return [oracle.ame_observed(beta, "x")]
+    return [oracle.ame_derivative(beta, "x", v) for v in points]
+
+
+def prediction_pairs(request: MarginRequest, levels):
+    """For an effect with an exact prediction difference: the prediction
+    request and, per effect row, the (plus, minus) rows of its output."""
+    at = request.at
+    kind = {"ame": "aap", "mem": "apm", "merv": "aprv"}[request.kind]
+    if request.target == "g":
+        chosen = request.levels or levels
+        base = request.base or levels[0]
+        points = at[1] if at else (None,)
+        pred = MarginRequest(kind=kind, target="g", levels=tuple(levels), at=at)
+        width = len(points)
+        pairs = [(levels.index(level) * width + j, levels.index(base) * width + j)
+                 for level in chosen if level != base for j in range(width)]
+        return pred, pairs
+    if not request.discrete or at is None:
+        return None, []  # derivatives and per-row shifts have no such identity
+    grid = tuple(sorted(set(at[1]) | {v + 1.0 for v in at[1]}))
+    pred = MarginRequest(kind=kind, target="x", at=("x", grid))
+    return pred, [(grid.index(v + 1.0), grid.index(v)) for v in at[1]]
+
+
+@given(cases())
+def test_kernel_matches_loop_oracles(case):
+    fr, design, oracle, request = case
+    levels = fr.term_map.factor_levels["g"]
+    rows = compute_margins(fr, design, request)
+    want = oracle_rows(oracle, fr.beta, request, levels)
+    assert len(rows) == len(want)
+    for row, w in zip(rows, want):
+        assert np.isclose(row.estimate, w, rtol=RTOL, atol=ATOL), (row.label, row.estimate, w)
+
+
+@given(cases())
+def test_effects_are_exact_prediction_differences(case):
+    fr, design, _, request = case
+    if request.kind not in ("ame", "mem", "merv"):
+        return
+    pred, pairs = prediction_pairs(request, fr.term_map.factor_levels["g"])
+    if pred is None:
+        return
+    effects = compute_margins(fr, design, request)
+    preds = compute_margins(fr, design, pred)
+    assert len(effects) == len(pairs)
+    for row, (plus, minus) in zip(effects, pairs):
+        diff = preds[plus].estimate - preds[minus].estimate
+        assert abs(row.estimate - diff) <= IDENTITY_TOL
+
+
+@given(cases())
+def test_kernel_gradients_match_finite_differences(case):
+    fr, design, _, request = case
+    plan = _compile(fr, design, request)
+    _, grad = _evaluate(plan, fr.beta)
+    for r in range(grad.shape[1]):
+        fd = fd_gradient(lambda b: _evaluate(plan, b, gradients=False)[0][r], fr.beta)
+        scale = max(1e-12, float(np.max(np.abs(grad[:, r]))))
+        assert np.max(np.abs(grad[:, r] - fd)) / scale < 1e-6

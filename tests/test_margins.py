@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from scipy.special import expit
 from scipy.stats import norm
 
 import logitmargins as lm
-from logitmargins.margins import (MarginsError, _aap_est_grad, _ame_cont_est_grad,
-                                  aap_continuous_at, aap_factor, ame_continuous_at,
-                                  ame_factor, aprv, bootstrap_se, compute_margins,
-                                  margins_tsv, mean_design_row, merv, zstar)
+from logitmargins.margins import (MarginsError, aap_continuous_at, aap_factor,
+                                  ame_continuous_at, ame_factor, aprv, bootstrap_se,
+                                  compute_margins, margins_tsv, mean_design_row, merv,
+                                  zstar)
 from oracles import ToyModel, fd_gradient
+from conftest import kernel_gradient
 
 TOL = 1e-12
 
@@ -182,10 +184,10 @@ def test_delta_gradients_match_fd_in_beta(toy_fit):
         assert np.max(np.abs(grad - fd)) / denom < 1e-6
 
     Xsub = lm.substitute_matrix(design.X, tm, "g", "b")
-    est, grad = _aap_est_grad(fr.beta, Xsub)
+    grad = kernel_gradient(fr, design, lm.MarginRequest("aap", "g", levels=("b",)))
     rel_check(grad, lambda b: float(expit(Xsub @ b).mean()))
 
-    est, grad = _ame_cont_est_grad(fr.beta, design.X, tm, "x", 1.5)
+    grad = kernel_gradient(fr, design, lm.MarginRequest("ame", "x", at=("x", (1.5,))))
     def ame_at(b):
         Xs = lm.substitute_matrix(design.X, tm, "x", 1.5)
         p = expit(Xs @ b)
@@ -193,7 +195,7 @@ def test_delta_gradients_match_fd_in_beta(toy_fit):
         return float((p * (1 - p) * slope).mean())
     rel_check(grad, ame_at)
 
-    est, grad = _ame_cont_est_grad(fr.beta, design.X, tm, "x", None)
+    grad = kernel_gradient(fr, design, lm.MarginRequest("ame", "x"))
     def ame_observed(b):
         p = expit(design.X @ b)
         vals = design.X[:, tm.linear_col("x")]
@@ -221,6 +223,24 @@ def test_aprv_single_level_consistent_with_aap_curve(toy_fit_bystander):
     for a, b in zip(via_aprv, via_curve):
         assert a.estimate == pytest.approx(b.estimate, abs=TOL)
         assert a.se == pytest.approx(b.se, abs=TOL)
+
+
+def test_aprv_memory_stays_blocked(corpus15k_fit):
+    # 4 levels x 27 values = 108 scenarios over 15426 rows: evaluated in one
+    # piece, each n x S float64 array would take 13 MB
+    fr, design = corpus15k_fit
+    levels = fr.term_map.factor_levels["univ"]
+    grid = tuple(0.5 * i for i in range(27))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows = aprv(fr, design, "univ", levels, "jif", grid)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 108
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- at-means specifics ------------------------------------------------------
