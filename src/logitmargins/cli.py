@@ -182,7 +182,13 @@ def _parse_at(text: str, per_level: bool = False) -> tuple[str, tuple[float, ...
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise mg.MarginsError(f"--at range must be LO:HI:STEP, got {rng!r}")
-        lo, hi, step = (float(p) for p in pieces)
+        try:
+            lo, hi, step = (float(p) for p in pieces)
+        except ValueError:
+            raise mg.MarginsError(f"--at range must be numbers LO:HI:STEP, "
+                                  f"got {rng!r}") from None
+    if not np.isfinite((lo, hi, step)).all():
+        raise mg.MarginsError(f"--at range must be finite, got {rng!r}")
     if step <= 0 or hi < lo:
         raise mg.MarginsError(f"bad --at range {rng!r}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1

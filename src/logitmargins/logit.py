@@ -115,9 +115,8 @@ def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
         raise RankDeficiencyError(names)
 
 
-def _check_separation(beta, X, y, p):
-    col_sd = X.std(axis=0)
-    scaled = np.abs(beta) * np.where(col_sd > 0, col_sd, 1.0)
+def _check_separation(beta, X, y, col_scale):
+    scaled = np.abs(beta) * col_scale
     # column 0 (the intercept) is exempt: constant columns carry no scale
     if len(beta) > 1 and (scaled[1:] > _SEPARATION_BETA).any():
         raise SeparationError(
@@ -125,6 +124,7 @@ def _check_separation(beta, X, y, p):
     ones = y == 1.0
     zeros = ~ones
     if ones.any() and zeros.any():
+        p = expit(X @ beta)
         if (p[ones] >= 1.0 - _SEPARATION_PROB).all() and (p[zeros] <= _SEPARATION_PROB).all():
             raise SeparationError(
                 "complete separation: fitted probabilities are pinned at 0/1")
@@ -140,12 +140,14 @@ def fit(
 ) -> FitResult:
     """Fit the logit model by Newton-Raphson from beta = 0.
 
-    A step that would lower the log-likelihood is halved until it does not,
-    so the trace is nondecreasing.  Convergence requires both a relative
-    log-likelihood change below ``tol`` and a maximal score component below
-    1e-6.  The covariance is the inverse negative Hessian at the optimum,
-    obtained by Cholesky solve; a non-positive-definite Hessian is an error,
-    never a pseudo-inverse.
+    Each iteration evaluates the score and Hessian once and factors the
+    negative Hessian once.  A step that would lower the log-likelihood is
+    halved until it does not, so the trace is nondecreasing.  Convergence
+    requires both a relative log-likelihood change below ``tol`` and a
+    maximal score component below 1e-6.  The covariance is the inverse
+    negative Hessian at the optimum, solved from the converged iterate's
+    Cholesky factor; a non-positive-definite Hessian is an error, never a
+    pseudo-inverse.
 
     Raises :class:`RankDeficiencyError`, :class:`SeparationError`, or
     :class:`ConvergenceError` instead of returning unusable estimates.
@@ -164,45 +166,39 @@ def fit(
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
     _check_rank(X, term_map)
 
+    col_sd = X.std(axis=0)
+    col_scale = np.where(col_sd > 0, col_sd, 1.0)
     beta = np.zeros(k)
     ll = log_likelihood(beta, X, y)
     trace = [ll]
-    converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while True:
         score, hessian = score_and_hessian(beta, X, y)
+        converged = iterations > 0 and (
+            abs(trace[-1] - trace[-2]) / (abs(trace[-2]) + 1e-300) < tol
+            and np.abs(score).max() < SCORE_TOL)
+        if not converged and iterations >= max_iter:
+            raise ConvergenceError(f"no convergence after {max_iter} iterations")
         try:
             chol = scipy.linalg.cho_factor(-hessian, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise FitError("negative Hessian is not positive definite") from exc
+        if converged:
+            break
         step = scipy.linalg.cho_solve(chol, score)
-        new_beta = beta + step
-        new_ll = log_likelihood(new_beta, X, y)
         # a computed decrease within fp resolution of ll is not a real decrease;
         # rejecting it would freeze the final score-polishing steps
         noise = 64.0 * np.finfo(np.float64).eps * (1.0 + abs(ll))
-        halvings = 0
-        while new_ll < ll - noise and halvings < 60:
-            step *= 0.5
-            new_beta = beta + step
+        for halvings in range(61):  # the full step, then at most 60 halvings
+            new_beta = beta + step * 0.5 ** halvings
             new_ll = log_likelihood(new_beta, X, y)
-            halvings += 1
+            if not new_ll < ll - noise:
+                break
         beta, ll = new_beta, new_ll
         trace.append(ll)
-        rel_change = abs(trace[-1] - trace[-2]) / (abs(trace[-2]) + 1e-300)
-        max_score = float(np.max(np.abs(score_and_hessian(beta, X, y)[0])))
-        _check_separation(beta, X, y, expit(X @ beta))
-        if rel_change < tol and max_score < SCORE_TOL:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(f"no convergence after {max_iter} iterations")
+        iterations += 1
+        _check_separation(beta, X, y, col_scale)
 
-    _, hessian = score_and_hessian(beta, X, y)
-    try:
-        chol = scipy.linalg.cho_factor(-hessian, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise FitError("negative Hessian is not positive definite at the optimum") from exc
     cov = scipy.linalg.cho_solve(chol, np.eye(k))
     cov = (cov + cov.T) / 2.0
     return FitResult(beta=beta, cov=cov, ll=ll, ll0=_null_ll(y), n=n, k=k,

@@ -463,7 +463,6 @@ class BootstrapResult:
 
 
 def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: int, *,
-                 max_iter: int = 100, tol: float = 1e-10,
                  workers: Optional[int] = None) -> BootstrapResult:
     """Nonparametric bootstrap of a margin request.
 
@@ -475,7 +474,7 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     """
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
-    full_fit = fit(design, max_iter=max_iter, tol=tol)
+    full_fit = fit(design)
     plan = _compile(full_fit, design, request)
     full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
     n = design.n
@@ -487,7 +486,7 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         Xb = design.X[idx]
         yb = design.y[idx]
         try:
-            fr = fit(Xb, yb, max_iter=max_iter, tol=tol, term_map=design.term_map)
+            fr = fit(Xb, yb, term_map=design.term_map)
             return _evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0]
         except (FitError, MarginsError):
             return None

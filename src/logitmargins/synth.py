@@ -193,13 +193,12 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def recover(cfg: SynthConfig, *, max_iter: int = 100, tol: float = 1e-10
-            ) -> tuple[RecoveryReport, FitResult]:
+def recover(cfg: SynthConfig) -> tuple[RecoveryReport, FitResult]:
     """Generate, refit, and report per-coefficient deviations in SE units."""
     ds = generate(cfg)
     spec = parse_formula(cfg.formula)
     design = build_design(ds, spec)
-    fr = fit(design, max_iter=max_iter, tol=tol)
+    fr = fit(design)
     se = np.sqrt(np.diag(fr.cov))
     rows = []
     for j, label in enumerate(design.term_map.labels):

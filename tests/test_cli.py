@@ -247,6 +247,15 @@ def test_unknown_grid_variable_exits_1(workspace):
     assert "'foo' is not a continuous variable" in r.stderr
 
 
+@pytest.mark.parametrize("at", ["jif=a:b:c", "jif=0:1e400:1", "jif=nan:1:1"])
+def test_malformed_grid_range_exits_1(workspace, at):
+    r = run_cli("margins", "--model", str(workspace / "m.json"),
+                "--data", str(workspace / "s.csv"), "--at", at)
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: --at range"), r.stderr
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of the import time and the package needs only
     # the normal cdf and quantile, which scipy.special provides

@@ -228,6 +228,49 @@ def test_max_iter_exhaustion():
         fit(X, y, max_iter=1)
 
 
+def _problem(name, request):
+    """(X, y) of a random problem, or of the design of a ``<name>_fit`` fixture."""
+    if name == "random":
+        return random_problem(9, n=300, k=5)[:2]
+    design = request.getfixturevalue(f"{name}_fit")[1]
+    return design.X, design.y
+
+
+@pytest.mark.parametrize("name", ["toy", "random"])
+def test_one_score_hessian_evaluation_per_iteration(name, request, monkeypatch):
+    X, y = _problem(name, request)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return score_and_hessian(*args)
+
+    monkeypatch.setattr("logitmargins.logit.score_and_hessian", counted)
+    fr = fit(X, y)
+    assert fr.iterations > 1
+    assert len(calls) == fr.iterations + 1
+
+
+@pytest.mark.parametrize("name", ["toy", "random"])
+def test_max_iter_boundary_is_the_iteration_count(name, request):
+    X, y = _problem(name, request)
+    fr = fit(X, y)
+    exact = fit(X, y, max_iter=fr.iterations)
+    assert exact.beta.tobytes() == fr.beta.tobytes()
+    assert exact.iterations == fr.iterations
+    with pytest.raises(ConvergenceError):
+        fit(X, y, max_iter=fr.iterations - 1)
+
+
+@pytest.mark.parametrize("name", ["toy", "random", "corpus15k"])
+def test_cov_is_inverse_negative_hessian_at_beta(name, request):
+    X, y = _problem(name, request)
+    fr = fit(X, y)
+    expected = np.linalg.inv(-score_and_hessian(fr.beta, X, y)[1])
+    np.testing.assert_allclose(fr.cov, expected, rtol=1e-9,
+                               atol=1e-12 * np.abs(fr.cov).max())
+
+
 def test_model_json_round_trip(toy_fit):
     fr, _ = toy_fit
     text = to_json(fr, "y ~ C(g) + x + x^2")
