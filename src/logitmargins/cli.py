@@ -166,6 +166,7 @@ def _parse_factor_arg(text: str) -> tuple[str, bool, Optional[str]]:
 # conventional grids for the corpus variables; any explicit range overrides
 DEFAULT_GRIDS = {"jif": (0.0, 35.0, 1.0), "pages": (1.0, 120.0, 1.0)}
 DEFAULT_GRIDS_BY_LEVEL = {"jif": (0.0, 13.0, 0.5), "pages": (1.0, 25.0, 1.0)}
+MAX_GRID_POINTS = 10_000  # the paper's grids have 27-36 points
 
 
 def _parse_at(text: str, per_level: bool = False) -> tuple[str, tuple[float, ...]]:
@@ -191,8 +192,12 @@ def _parse_at(text: str, per_level: bool = False) -> tuple[str, tuple[float, ...
         raise mg.MarginsError(f"--at range must be finite, got {rng!r}")
     if step <= 0 or hi < lo:
         raise mg.MarginsError(f"bad --at range {rng!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    grid = tuple(lo + i * step for i in range(count))
+    # count the points before building the grid; inf when hi - lo overflows
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise mg.MarginsError(f"--at range {rng!r} has more than "
+                              f"{MAX_GRID_POINTS} points")
+    grid = tuple(lo + i * step for i in range(int(span) + 1))
     return var, grid
 
 
@@ -401,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aap", metavar="TARGET", help="adjusted predictions: C(factor) "
                    "for a discrete block, or a continuous var with --at")
     p.add_argument("--ame", metavar="TARGET[,BASE]", help="marginal effects")
-    p.add_argument("--at", metavar="VAR=LO:HI:STEP", help="grid of representative values")
+    p.add_argument("--at", metavar="VAR=LO:HI:STEP", help="grid of representative "
+                   f"values, at most {MAX_GRID_POINTS} points")
     p.add_argument("--over", metavar="C(FACTOR)[,BASE]",
                    help="one curve per factor level over the --at grid")
     p.add_argument("--dydx", action="store_true",

@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit, ndtr
 
 from .formula import DesignMatrix, TermMap
 
@@ -39,6 +37,22 @@ class ConvergenceError(FitError):
     """Newton iterations exhausted without meeting the convergence criteria."""
 
 
+def expit(x, out=None):
+    """Logistic function 1/(1+exp(-x)), elementwise; ``out`` may be ``x`` itself.
+
+    Where exp(-x) overflows (x < -709.78) the result is 0, as in scipy's expit.
+    """
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(x, out=out), out=out)
+        return np.reciprocal(np.add(e, 1.0, out=out), out=out)
+
+
+def two_sided_p(z) -> np.ndarray:
+    """Two-sided normal p-values 2*Phi(-|z|) = erfc(|z|/sqrt(2)), elementwise."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z.flat]).reshape(z.shape)
+
+
 def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     """Bernoulli log-likelihood sum(y*eta - softplus(eta)), overflow safe."""
     beta = np.asarray(beta, dtype=np.float64)
@@ -53,7 +67,7 @@ def score_and_hessian(beta, X, y):
     """Gradient X'(y-p) and Hessian -X' diag(p(1-p)) X of the log-likelihood."""
     beta = np.asarray(beta, dtype=np.float64)
     eta = X @ beta
-    p = expit(eta)
+    p = expit(eta, out=eta)
     score = X.T @ (y - p)
     w = p * (1.0 - p)
     hessian = -(X * w[:, None]).T @ X
@@ -102,11 +116,13 @@ def _null_ll(y: np.ndarray) -> float:
 
 def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
     n, k = X.shape
-    _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, k) * np.finfo(np.float64).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
+    sv = np.linalg.svd(np.linalg.qr(X, mode="r"), compute_uv=False)
+    tol = sv.max() * max(n, k) * np.finfo(np.float64).eps if sv.size else 0.0
+    rank = int((sv > tol).sum())
     if rank < k:
+        # only a failing check pays for scipy: its pivoted QR names the columns
+        import scipy.linalg
+        piv = scipy.linalg.qr(X, mode="r", pivoting=True)[1]
         dependent = sorted(piv[rank:])
         if term_map is not None:
             names = [term_map.labels[j] for j in dependent]
@@ -128,6 +144,11 @@ def _check_separation(beta, X, y, col_scale):
         if (p[ones] >= 1.0 - _SEPARATION_PROB).all() and (p[zeros] <= _SEPARATION_PROB).all():
             raise SeparationError(
                 "complete separation: fitted probabilities are pinned at 0/1")
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b from the lower Cholesky factor L."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
 def fit(
@@ -161,6 +182,8 @@ def fit(
         raise ValueError("X must be (n, k) and y (n,) with matching n")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("response must be 0/1")
+    if not np.isfinite(X).all():
+        raise ValueError("design matrix has non-finite values")
     n, k = X.shape
     if n <= k:
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
@@ -180,12 +203,12 @@ def fit(
         if not converged and iterations >= max_iter:
             raise ConvergenceError(f"no convergence after {max_iter} iterations")
         try:
-            chol = scipy.linalg.cho_factor(-hessian, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(-hessian)
+        except np.linalg.LinAlgError as exc:
             raise FitError("negative Hessian is not positive definite") from exc
         if converged:
             break
-        step = scipy.linalg.cho_solve(chol, score)
+        step = _cho_solve(chol, score)
         # a computed decrease within fp resolution of ll is not a real decrease;
         # rejecting it would freeze the final score-polishing steps
         noise = 64.0 * np.finfo(np.float64).eps * (1.0 + abs(ll))
@@ -199,7 +222,7 @@ def fit(
         iterations += 1
         _check_separation(beta, X, y, col_scale)
 
-    cov = scipy.linalg.cho_solve(chol, np.eye(k))
+    cov = _cho_solve(chol, np.eye(k))
     cov = (cov + cov.T) / 2.0
     return FitResult(beta=beta, cov=cov, ll=ll, ll0=_null_ll(y), n=n, k=k,
                      iterations=iterations, converged=True, term_map=term_map,
@@ -215,7 +238,7 @@ def fit_stats(fr: FitResult) -> FitStats:
         raise FitError("degenerate covariance: non-positive diagonal")
     se = np.sqrt(diag)
     z = fr.beta / se
-    p = 2.0 * ndtr(-np.abs(z))
+    p = two_sided_p(z)
     return FitStats(
         pseudo_r2=1.0 - fr.ll / fr.ll0 if fr.ll0 != 0.0 else 0.0,
         aic=2.0 * fr.k - 2.0 * fr.ll,

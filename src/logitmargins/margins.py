@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 from .formula import DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
-from .logit import FitError, FitResult, fit
+from .logit import FitError, FitResult, expit, fit, two_sided_p
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
 BLOCK_BYTES = 2 << 20  # n x S float64 per block of scenarios
@@ -54,7 +54,7 @@ def zstar(ci_level: float) -> float:
         raise MarginsError(f"ci_level must be in (0,1), got {ci_level}")
     if abs(ci_level - 0.95) < 1e-12:
         return Z95
-    return float(ndtri(0.5 + ci_level / 2.0))
+    return statistics.NormalDist().inv_cdf(0.5 + ci_level / 2.0)
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def _margin_rows(plan: _Plan, est: np.ndarray, se: np.ndarray,
     zs = zstar(ci_level)
     z = np.array([e / s if s > 0 else (0.0 if e == 0.0 else math.copysign(math.inf, e))
                   for e, s in zip(est, se)])
-    p = 2.0 * ndtr(-np.abs(z))
+    p = two_sided_p(z)
     return [MarginRow(label=label, at_value=at, estimate=float(e), se=float(s),
                       z=float(zz), p=float(pp), ci_low=float(e - zs * s),
                       ci_high=float(e + zs * s), extrapolated=x)

@@ -19,7 +19,6 @@ from importlib import resources
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .dataset import (BinaryColumn, CategoricalColumn, Column, ContinuousColumn,
                       Dataset)
@@ -108,6 +107,7 @@ def _draw_factor(rng, probs: dict[str, float], n: int) -> tuple[tuple[str, ...],
 
 def _draw_continuous(rng, spec: ContinuousSpec, n: int,
                      factor_codes: dict[str, tuple[tuple[str, ...], np.ndarray]]) -> np.ndarray:
+    from scipy.special import ndtri  # keeps scipy off the fit/margins import path
     u = rng.random(n)
     if spec.family == "uniform_int":
         lo, hi = int(spec.lo), int(spec.hi)
@@ -161,6 +161,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         raise SynthError(f"true_beta keys do not match the model: "
                          f"missing {missing}, unexpected {extra}")
     beta = np.array([cfg.true_beta[lb] for lb in labels], dtype=np.float64)
+    from scipy.special import expit  # scipy's, so corpora keep their bytes
     p = expit(design.X @ beta)
     y = (rng.random(n) < p).astype(np.float64)
 

@@ -18,9 +18,16 @@ SCHEMA = ("top10:binary,univ:categorical[univ1|univ2|univ3|univ4],"
           "jif:continuous,years:continuous,authors:continuous,pages:continuous")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "logitmargins", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, **kwargs)
+
+
+def cap_address_space():
+    # a grid built by mistake then fails fast with a MemoryError instead of
+    # allocating tens of GB
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 @pytest.fixture(scope="module")
@@ -247,10 +254,12 @@ def test_unknown_grid_variable_exits_1(workspace):
     assert "'foo' is not a continuous variable" in r.stderr
 
 
-@pytest.mark.parametrize("at", ["jif=a:b:c", "jif=0:1e400:1", "jif=nan:1:1"])
+# the last grid would have 1e9 points, above cli.MAX_GRID_POINTS
+@pytest.mark.parametrize("at", ["jif=a:b:c", "jif=0:1e400:1", "jif=nan:1:1", "jif=0:1e9:1"])
 def test_malformed_grid_range_exits_1(workspace, at):
     r = run_cli("margins", "--model", str(workspace / "m.json"),
-                "--data", str(workspace / "s.csv"), "--at", at)
+                "--data", str(workspace / "s.csv"), "--at", at,
+                preexec_fn=cap_address_space, timeout=120)
     lines = r.stderr.splitlines()
     assert r.returncode == 1
     assert len(lines) == 1 and lines[0].startswith("error: --at range"), r.stderr
@@ -264,3 +273,25 @@ def test_import_leaves_scipy_stats_unloaded():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_fit_and_margins_never_import_scipy(workspace, tmp_path):
+    # scipy.linalg and scipy.special cost most of a CLI call's import time;
+    # only the synth generator and the naming of dependent columns use scipy
+    script = f"""
+import sys
+import logitmargins
+from logitmargins import cli
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, ("after import", loaded)
+assert cli.main(["fit", "--data", {str(workspace / "s.csv")!r}, "--model", {MODEL3!r},
+                 *{REFS!r}, "--schema", {SCHEMA!r},
+                 "--out", {str(tmp_path / "m.json")!r}]) == 0
+assert cli.main(["margins", "--model", {str(tmp_path / "m.json")!r},
+                 "--data", {str(workspace / "s.csv")!r}, "--aap", "C(univ)"]) == 0
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, ("after fit and margins", loaded)
+"""
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "AAP univ=univ1" in r.stdout, r.stdout

@@ -117,6 +117,14 @@ def test_redundant_column_raises_with_names(toy_ds):
     assert "x" in " ".join(map(str, exc.value.columns))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_is_rejected(bad):
+    X, y, _ = random_problem(3)
+    X[5, 2] = bad
+    with pytest.raises(ValueError, match="design matrix has non-finite values"):
+        fit(X, y)
+
+
 def test_needs_more_rows_than_columns():
     X = np.ones((3, 4))
     with pytest.raises(FitError, match="more observations"):
