@@ -32,6 +32,8 @@ print("\nThe at-means variants evaluate a single synthetic publication whose"
       "\ncovariates are sample means (fractional university shares and all);"
       "\nthey usually land close to the averaged versions but are not the"
       "\nsame estimand:")
-aap = lm.aap_factor(fr, design, "univ", "univ3")
-apm = lm.aap_factor(fr, design, "univ", "univ3", atmeans=True)
+aap, = lm.compute_margins(fr, design,
+                          lm.MarginRequest(kind="aap", target="univ", levels=("univ3",)))
+apm, = lm.compute_margins(fr, design,
+                          lm.MarginRequest(kind="apm", target="univ", levels=("univ3",)))
 print(f"  AAP univ3 = {aap.estimate:.4f}   APM univ3 = {apm.estimate:.4f}")

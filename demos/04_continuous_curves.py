@@ -34,19 +34,24 @@ def save_plot(rows, path, y_label, predictions):
     print(f"  wrote {path}")
 
 
-jif_grid = list(range(0, 36))
-aap_jif = lm.aap_continuous_at(fr, design, "jif", jif_grid)
+def curve(kind, var, grid):
+    return lm.compute_margins(fr, design,
+                              lm.MarginRequest(kind=kind, target=var, at=(var, grid)))
+
+
+jif_grid = tuple(range(0, 36))
+aap_jif = curve("aap", "jif", jif_grid)
 print("adjusted predictions over journal impact:")
 for r in aap_jif[::7]:
     print(f"  jif {r.at_value:>4.0f}: {r.estimate:.3f} [{r.ci_low:.3f}, {r.ci_high:.3f}]")
 save_plot(aap_jif, OUT / "aap_jif.svg", "adjusted prediction", True)
 
-ame_jif = lm.ame_continuous_at(fr, design, "jif", jif_grid)
+ame_jif = curve("ame", "jif", jif_grid)
 save_plot(ame_jif, OUT / "ame_jif.svg", "marginal effect", False)
 
-pages_grid = list(range(1, 121))
-aap_pages = lm.aap_continuous_at(fr, design, "pages", pages_grid)
-ame_pages = lm.ame_continuous_at(fr, design, "pages", pages_grid)
+pages_grid = tuple(range(1, 121))
+aap_pages = curve("aap", "pages", pages_grid)
+ame_pages = curve("ame", "pages", pages_grid)
 save_plot(aap_pages, OUT / "aap_pages.svg", "adjusted prediction", True)
 save_plot(ame_pages, OUT / "ame_pages.svg", "marginal effect", False)
 

@@ -21,9 +21,10 @@ ds = lm.generate(lm.default_config(n=15426, seed=7, correlated=True))
 design = lm.build_design(ds, lm.parse_formula(FORMULA))
 fr = lm.fit(design)
 
-grid = [0.5 * i for i in range(27)]  # 0 .. 13
+grid = tuple(0.5 * i for i in range(27))  # 0 .. 13
 levels = fr.term_map.factor_levels["univ"]
-rows = lm.aprv(fr, design, "univ", levels, "jif", grid)
+rows = lm.compute_margins(fr, design,
+                          lm.MarginRequest(kind="aprv", target="univ", at=("jif", grid)))
 
 series = []
 for level in levels:
@@ -37,7 +38,8 @@ for level in levels:
     render(PlotSpec("jif", "adjusted prediction", tuple(series), y_range=(0, 1))))
 print("wrote", OUT / "aprv_univ_jif.svg")
 
-contrast = lm.merv(fr, design, "univ", "univ3", "univ1", "jif", grid)
+contrast = lm.compute_margins(fr, design, lm.MarginRequest(
+    kind="merv", target="univ", levels=("univ3",), base="univ1", at=("jif", grid)))
 print("\nuniv3 - univ1 contrast over journal impact:")
 for r in contrast[::6]:
     print(f"  jif {r.at_value:>4.1f}: {r.estimate:+.4f} "

@@ -3,15 +3,13 @@
 from .dataset import (ColumnSpec, DataError, Dataset, SummaryTable, filter_levels,
                       load_csv, schema_of, sniff_schema, summarize, to_csv)
 from .formula import (DesignMatrix, FormulaError, ModelSpec, TermMap, build_design,
-                      parse_formula, substitute, substitute_matrix)
+                      parse_formula)
 from .logit import (ConvergenceError, FitError, FitResult, FitStats,
                     RankDeficiencyError, SeparationError, fit, fit_stats,
                     from_json, log_likelihood, predict, score_and_hessian,
                     to_json)
 from .margins import (BootstrapResult, MarginRequest, MarginRow, MarginsError,
-                      aap_continuous_at, aap_factor, ame_continuous_at, ame_factor,
-                      aprv, bootstrap_se, compute_margins, margins_tsv,
-                      mean_design_row, merv, zstar)
+                      bootstrap_se, compute_margins, margins_tsv, zstar)
 from .synth import (ContinuousSpec, RecoveryReport, SynthConfig, SynthError,
                     default_config, generate, load_coefficients, recover)
 
@@ -21,14 +19,12 @@ __all__ = [
     "ColumnSpec", "DataError", "Dataset", "SummaryTable", "filter_levels",
     "load_csv", "schema_of", "sniff_schema", "summarize", "to_csv",
     "DesignMatrix", "FormulaError", "ModelSpec", "TermMap", "build_design",
-    "parse_formula", "substitute", "substitute_matrix",
+    "parse_formula",
     "ConvergenceError", "FitError", "FitResult", "FitStats",
     "RankDeficiencyError", "SeparationError", "fit", "fit_stats",
     "from_json", "log_likelihood", "predict", "score_and_hessian", "to_json",
     "BootstrapResult", "MarginRequest", "MarginRow", "MarginsError",
-    "aap_continuous_at", "aap_factor", "ame_continuous_at", "ame_factor",
-    "aprv", "bootstrap_se", "compute_margins", "margins_tsv",
-    "mean_design_row", "merv", "zstar",
+    "bootstrap_se", "compute_margins", "margins_tsv", "zstar",
     "ContinuousSpec", "RecoveryReport", "SynthConfig", "SynthError",
     "default_config", "generate", "load_coefficients", "recover",
     "__version__",

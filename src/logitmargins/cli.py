@@ -309,6 +309,9 @@ def cmd_margins(args) -> int:
         ds = _load_data(args, model_spec=spec, term_map=fr.term_map)
         design = build_design(ds, spec, reference=fr.term_map.reference,
                               levels=fr.term_map.factor_levels)
+        if design.term_map != fr.term_map:
+            raise FormulaError(f"the term map in {args.model} does not match "
+                               "its formula")
         requests = _build_requests(args, fr.term_map)
         rows = []
         for req in requests:

@@ -162,6 +162,7 @@ INTERCEPT = "intercept"
 INDICATOR = "indicator"
 IDENTITY = "identity"
 SQUARE = "square"
+TRANSFORMS = (INTERCEPT, INDICATOR, IDENTITY, SQUARE)
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,10 @@ class ColumnRole:
     source: Optional[str]
     transform: str
     level: Optional[str] = None
+
+    def __post_init__(self):
+        if self.transform not in TRANSFORMS:
+            raise FormulaError(f"unknown column transform {self.transform!r}")
 
     @property
     def label(self) -> str:
@@ -299,11 +304,17 @@ def build_design(
     """Build the design matrix and term map for ``spec`` over ``ds``.
 
     ``reference`` overrides the reference level per factor (default: the
-    first level).  ``levels`` overrides the level order per factor, which
-    pins the dummy coding when re-applying a stored model to new data.
+    first level); a key that is not a factor term of ``spec`` raises
+    :class:`FormulaError`.  ``levels`` overrides the level order per factor,
+    which pins the dummy coding when re-applying a stored model to new data.
     """
     reference = dict(reference or {})
     levels = {v: tuple(ls) for v, ls in (levels or {}).items()}
+    factors = {t.var for t in spec.terms if isinstance(t, Factor)}
+    for var in reference:
+        if var not in factors:
+            raise FormulaError(f"reference level given for {var!r}, which is not "
+                               "a factor term of the formula")
 
     resp_col = ds.column(spec.response)
     if not isinstance(resp_col, BinaryColumn):

@@ -307,24 +307,30 @@ def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
 def from_json(text: str) -> tuple[FitResult, str]:
     """Load a fit from model JSON; returns the fit and its formula text.
 
-    Raises ``ValueError`` unless ``beta`` has one entry per term-map column
-    and ``cov`` is a finite, symmetric k x k matrix with a positive diagonal.
+    Raises ``ValueError`` for a field of the wrong type or an unknown column
+    transform, and unless ``beta`` has one entry per term-map column and
+    ``cov`` is a finite, symmetric k x k matrix with a positive diagonal.
     """
     d = json.loads(text)
-    tm = TermMap.from_dict(d["term_map"])
-    beta = np.array(d["beta"], dtype=np.float64)
-    cov = np.array(d["cov"], dtype=np.float64)
-    k = int(d["k"])
-    _check_model(beta, cov, k, tm)
-    fr = FitResult(
-        beta=beta,
-        cov=cov,
-        ll=float(d["ll"]),
-        ll0=float(d["ll0"]),
-        n=int(d["n"]),
-        k=k,
-        iterations=int(d["iterations"]),
-        converged=bool(d["converged"]),
-        term_map=tm,
-    )
+    if not isinstance(d, dict) or not isinstance(d.get("formula"), str):
+        raise ValueError("model JSON must be an object with a formula string")
+    try:
+        tm = TermMap.from_dict(d["term_map"])
+        beta = np.array(d["beta"], dtype=np.float64)
+        cov = np.array(d["cov"], dtype=np.float64)
+        k = int(d["k"])
+        _check_model(beta, cov, k, tm)
+        fr = FitResult(
+            beta=beta,
+            cov=cov,
+            ll=float(d["ll"]),
+            ll0=float(d["ll0"]),
+            n=int(d["n"]),
+            k=k,
+            iterations=int(d["iterations"]),
+            converged=bool(d["converged"]),
+            term_map=tm,
+        )
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed model JSON: {exc}") from None
     return fr, d["formula"]

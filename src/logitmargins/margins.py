@@ -74,11 +74,19 @@ class MarginRow:
 
 @dataclass(frozen=True)
 class MarginRequest:
-    """Declarative margin specification, routed by :func:`compute_margins`.
+    """One margin request, for :func:`compute_margins` or :func:`bootstrap_se`.
 
-    ``kind`` is one of aap, ame, apm, mem, aprv, merv.  ``at`` carries an
-    optional (continuous variable, grid) pair; factor contrasts use ``base``
-    (defaulting to the model's reference level).
+    ``kind`` is one of aap, ame, apm, mem, aprv, merv; apm and mem evaluate
+    at the single row of sample means.  A factor ``target`` gives one row
+    per level in ``levels`` (default: all of them); an effect contrasts each
+    level with ``base`` (default: the reference level) and skips a level
+    equal to it.  ``at`` is an optional (continuous variable, grid) pair.
+    With a factor target each level is crossed with the grid, so aap and ame
+    give APRV and MERV rows.  With a continuous target the grid must be the
+    target's own, and an effect without one is averaged over each row's
+    observed value.  Continuous effects are derivatives, or unit changes
+    with ``discrete``.  The grid must be non-empty, finite and strictly
+    ascending.
     """
 
     kind: str
@@ -162,17 +170,70 @@ class _Plan:
     extrapolated: tuple[bool, ...]
 
 
-def _plan(fr: FitResult, X, specs, *, factor: Optional[str] = None,
-          var: Optional[str] = None, atmeans: bool = False, shift: bool = False,
-          slope: bool = False) -> _Plan:
-    """Deduplicate the scenarios of ``specs`` and build their contrast.
+def _check_continuous(tm: TermMap, var: str):
+    try:
+        tm.linear_col(var)
+    except KeyError:
+        raise MarginsError(f"{var!r} is not a continuous variable in the model") from None
 
-    ``specs`` holds one (label, at, plus, minus) tuple per output row;
-    ``plus`` and ``minus`` are scenario keys (factor level, value), and a
-    row without ``minus`` is the ``plus`` scenario alone.
+
+def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
+    """Compile a request into deduplicated scenarios and their contrast.
+
+    Each output row is a (label, at, plus, minus) spec; ``plus`` and
+    ``minus`` are scenario keys (factor level, value), and a row without
+    ``minus`` is the ``plus`` scenario alone.
     """
     tm = _term_map(fr)
     arr = _design_array(X)
+    kind, target = request.kind, request.target
+    atmeans = kind in ("apm", "mem")
+    effect = kind in ("ame", "mem", "merv")
+    var, grid = request.at or (None, None)
+    points = (None,) if grid is None else tuple(float(v) for v in grid)
+    label = kind.upper()
+    factor = None
+    shift = slope = False
+
+    if kind in ("aprv", "merv") or tm.is_factor(target):
+        if kind in ("aprv", "merv") and grid is None:
+            raise MarginsError("representative-value margins need an `at` grid")
+        if not tm.is_factor(target):
+            raise MarginsError(f"{target!r} is not a factor in the model")
+        factor = target
+        known = tm.factor_levels[target]
+        base = (request.base or tm.reference[target]) if effect else None
+        for level in (*(request.levels or ()), base):
+            if level is not None and level not in known:
+                raise MarginsError(f"unknown level {level!r} for factor {target!r}")
+        if var is not None:
+            _check_continuous(tm, var)
+        if grid is not None and not atmeans:
+            label = "MERV" if effect else "APRV"
+        suffix = "" if base is None else f"-{base}"
+        # an effect skips any requested level equal to its base
+        specs = [(f"{label} {target}={level}{suffix}", v, (level, v),
+                  None if base is None else (base, v))
+                 for level in request.levels or known if level != base for v in points]
+    else:
+        if grid is not None and var != target:
+            raise MarginsError("`at` grid variable must match a continuous target")
+        if grid is None and not effect:
+            raise MarginsError(
+                "adjusted predictions for a continuous variable need an `at` grid")
+        _check_continuous(tm, target)
+        var, label = target, f"{label} {target}"
+        slope = effect and not request.discrete
+        if grid is None:  # an effect at each row's observed value
+            shift = True
+            label = label if atmeans else f"{label} (observed)"
+            specs = [(label, None, (None, 1.0), (None, 0.0)) if request.discrete
+                     else (label, None, (None, 0.0), None)]
+        elif effect and request.discrete:
+            specs = [(label, v, (None, v + 1.0), (None, v)) for v in points]
+        else:
+            specs = [(label, v, (None, v), None) for v in points]
+
     keys = list(dict.fromkeys(key for *_, plus, minus in specs
                               for key in (plus, minus) if key is not None))
     index = {key: s for s, key in enumerate(keys)}
@@ -201,103 +262,6 @@ def _plan(fr: FitResult, X, specs, *, factor: Optional[str] = None,
                  shift=shift, slope=slope, L=L,
                  labels=tuple(s[0] for s in specs), at=tuple(s[1] for s in specs),
                  extrapolated=tuple(extrapolated))
-
-
-def _factor_levels(tm: TermMap, var: str) -> tuple[str, ...]:
-    if not tm.is_factor(var):
-        raise MarginsError(f"{var!r} is not a factor in the model")
-    return tm.factor_levels[var]
-
-
-def _check_continuous(tm: TermMap, var: str):
-    try:
-        tm.linear_col(var)
-    except KeyError:
-        raise MarginsError(f"{var!r} is not a continuous variable in the model") from None
-
-
-def _prefix(atmeans: bool, effect: bool, representative: bool = False) -> str:
-    if atmeans:
-        return "MEM" if effect else "APM"
-    if representative:
-        return "MERV" if effect else "APRV"
-    return "AME" if effect else "AAP"
-
-
-def _factor_plan(fr: FitResult, X, factor: str, levels: Sequence[str], *,
-                 base: Optional[str] = None, var: Optional[str] = None,
-                 grid: Optional[Sequence[float]] = None, atmeans: bool = False) -> _Plan:
-    """One row per level (and grid value of ``var``): a prediction, or with
-    ``base`` the contrast against the base level."""
-    tm = _term_map(fr)
-    known = _factor_levels(tm, factor)
-    for level in (*levels, base):
-        if level is not None and level not in known:
-            raise MarginsError(f"unknown level {level!r} for factor {factor!r}")
-    points: Sequence[Optional[float]] = (None,)
-    if grid is not None:
-        _check_grid(grid)
-        _check_continuous(tm, var)
-        points = [float(v) for v in grid]
-    prefix = _prefix(atmeans, base is not None, representative=grid is not None)
-    suffix = "" if base is None else f"-{base}"
-    specs = [(f"{prefix} {factor}={level}{suffix}", v, (level, v),
-              None if base is None else (base, v))
-             for level in levels for v in points]
-    return _plan(fr, X, specs, factor=factor, var=var, atmeans=atmeans)
-
-
-def _continuous_plan(fr: FitResult, X, var: str, grid: Optional[Sequence[float]], *,
-                     atmeans: bool = False, effect: bool = False,
-                     discrete: bool = False) -> _Plan:
-    """Predictions or effects of ``var`` over a grid; ``grid=None`` means an
-    effect at each row's observed value."""
-    if grid is not None:
-        _check_grid(grid)
-    _check_continuous(_term_map(fr), var)
-    label = f"{_prefix(atmeans, effect)} {var}"
-    slope = effect and not discrete
-    if grid is None:
-        label = label if atmeans else f"{label} (observed)"
-        spec = (label, None, (None, 1.0), (None, 0.0)) if discrete else (
-            label, None, (None, 0.0), None)
-        return _plan(fr, X, [spec], var=var, atmeans=atmeans, shift=True, slope=slope)
-    points = [float(v) for v in grid]
-    if effect and discrete:
-        specs = [(label, v, (None, v + 1.0), (None, v)) for v in points]
-    else:
-        specs = [(label, v, (None, v), None) for v in points]
-    return _plan(fr, X, specs, var=var, atmeans=atmeans, slope=slope)
-
-
-def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
-    tm = _term_map(fr)
-    atmeans = request.kind in ("apm", "mem")
-    effect = request.kind in ("ame", "mem", "merv")
-    target = request.target
-
-    if request.kind in ("aprv", "merv") or tm.is_factor(target):
-        if request.kind in ("aprv", "merv") and request.at is None:
-            raise MarginsError("representative-value margins need an `at` grid")
-        levels = _factor_levels(tm, target)
-        levels = request.levels or levels
-        base = None
-        if effect:
-            base = request.base or tm.reference[target]
-            levels = [level for level in levels if level != base]
-        at_var, grid = request.at or (None, None)
-        return _factor_plan(fr, X, target, levels, base=base, var=at_var, grid=grid,
-                            atmeans=atmeans)
-
-    grid = None
-    if request.at is not None:
-        at_var, grid = request.at
-        if at_var != target:
-            raise MarginsError("`at` grid variable must match a continuous target")
-    elif not effect:
-        raise MarginsError("adjusted predictions for a continuous variable need an `at` grid")
-    return _continuous_plan(fr, X, target, grid, atmeans=atmeans, effect=effect,
-                            discrete=request.discrete)
 
 
 # --- the counterfactual kernel ----------------------------------------------
@@ -371,88 +335,18 @@ def _margin_rows(plan: _Plan, est: np.ndarray, se: np.ndarray,
                 plan.labels, plan.at, plan.extrapolated, est, se, z, p)]
 
 
-def _delta_rows(fr: FitResult, plan: _Plan, ci_level: float) -> list[MarginRow]:
+def compute_margins(fr: FitResult, X, request: MarginRequest) -> list[MarginRow]:
+    """The rows of a :class:`MarginRequest` with delta-method inference.
+
+    ``X`` is the design (or its matrix) the predictions average over.  Rows
+    whose grid value lies outside the observed range of the grid variable
+    are flagged ``extrapolated``.
+    """
+    plan = _compile(fr, X, request)
     est, G = _evaluate(plan, fr.beta)
     var = np.einsum("kr,kr->r", fr.cov @ G, G)
     se = np.sqrt(np.where(var > 0, var, 0.0))
-    return _margin_rows(plan, est, se, ci_level)
-
-
-# --- public front-ends --------------------------------------------------------
-
-def aap_factor(fr: FitResult, X, var: str, level: str, *,
-               atmeans: bool = False, ci_level: float = 0.95) -> MarginRow:
-    """Average adjusted prediction with every row assigned to ``level``."""
-    return _delta_rows(fr, _factor_plan(fr, X, var, (level,), atmeans=atmeans),
-                       ci_level)[0]
-
-
-def ame_factor(fr: FitResult, X, var: str, level: str, base: str, *,
-               atmeans: bool = False, ci_level: float = 0.95) -> MarginRow:
-    """Discrete marginal effect: AAP at ``level`` minus AAP at ``base``.
-
-    Both averages share the same observed rows, so the estimate equals the
-    difference of the two AAP estimates exactly.
-    """
-    plan = _factor_plan(fr, X, var, (level,), base=base, atmeans=atmeans)
-    return _delta_rows(fr, plan, ci_level)[0]
-
-
-def aap_continuous_at(fr: FitResult, X, var: str, grid: Sequence[float], *,
-                      atmeans: bool = False, ci_level: float = 0.95) -> list[MarginRow]:
-    """AAP curve over a grid of values of a continuous variable.
-
-    Each grid value is substituted into every row (linked squared columns
-    update together) and the predictions averaged.  Rows evaluated outside
-    the observed range of ``var`` are flagged ``extrapolated``.
-    """
-    return _delta_rows(fr, _continuous_plan(fr, X, var, grid, atmeans=atmeans), ci_level)
-
-
-def ame_continuous_at(fr: FitResult, X, var: str,
-                      grid: Union[str, Sequence[float]] = "observed", *,
-                      atmeans: bool = False, discrete: bool = False,
-                      ci_level: float = 0.95) -> list[MarginRow]:
-    """Marginal effect of a continuous variable.
-
-    By default this is the instantaneous derivative: p(1-p) times the
-    linear-predictor slope, which includes the chain-rule contribution of a
-    squared term.  ``discrete=True`` switches to the unit-change difference
-    mean[p(v+1) - p(v)] instead.  With ``grid="observed"`` each row keeps
-    its own value and a single averaged row is returned; otherwise one row
-    per grid value.
-    """
-    if isinstance(grid, str):
-        if grid != "observed":
-            raise MarginsError(f"grid must be a sequence or 'observed', got {grid!r}")
-        grid = None
-    plan = _continuous_plan(fr, X, var, grid, atmeans=atmeans, effect=True,
-                            discrete=discrete)
-    return _delta_rows(fr, plan, ci_level)
-
-
-def aprv(fr: FitResult, X, factor: str, levels: Sequence[str], var: str,
-         grid: Sequence[float], *, atmeans: bool = False,
-         ci_level: float = 0.95) -> list[MarginRow]:
-    """Adjusted predictions at representative values: fix a factor level and a
-    continuous value together, averaged over rows; one row per (level, v)."""
-    plan = _factor_plan(fr, X, factor, levels, var=var, grid=grid, atmeans=atmeans)
-    return _delta_rows(fr, plan, ci_level)
-
-
-def merv(fr: FitResult, X, factor: str, level: str, base: str, var: str,
-         grid: Sequence[float], *, atmeans: bool = False,
-         ci_level: float = 0.95) -> list[MarginRow]:
-    """Marginal effects at representative values: APRV(level) - APRV(base)
-    per grid value, with the delta-method gradient of the difference."""
-    plan = _factor_plan(fr, X, factor, (level,), base=base, var=var, grid=grid,
-                        atmeans=atmeans)
-    return _delta_rows(fr, plan, ci_level)
-
-
-def compute_margins(fr: FitResult, X, request: MarginRequest) -> list[MarginRow]:
-    """Route a :class:`MarginRequest` to the appropriate operation."""
-    return _delta_rows(fr, _compile(fr, X, request), request.ci_level)
+    return _margin_rows(plan, est, se, request.ci_level)
 
 
 @dataclass(frozen=True)

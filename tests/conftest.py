@@ -8,7 +8,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import logitmargins as lm
-from logitmargins.margins import _compile, _evaluate
+from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -22,6 +22,11 @@ BOOT_SEED = 1101
 settings.register_profile("repro", derandomize=True, max_examples=100, deadline=None,
                           database=None, print_blob=True)
 settings.load_profile("repro")
+
+
+def margin_rows(fr, design, kind: str, target: str, **fields) -> list:
+    """The delta-method rows of ``MarginRequest(kind, target, **fields)``."""
+    return compute_margins(fr, design, MarginRequest(kind, target, **fields))
 
 
 def kernel_gradient(fr, design, request) -> np.ndarray:

@@ -18,9 +18,9 @@ import pytest
 from scipy.special import expit
 
 import logitmargins as lm
-from logitmargins.formula import ColumnRole, TermMap
+from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from oracles import ToyModel, fd_gradient
-from conftest import BOOT_SEED, CORPUS_SEED, kernel_gradient, toy_dataset
+from conftest import BOOT_SEED, CORPUS_SEED, kernel_gradient, margin_rows, toy_dataset
 
 MODEL3 = ("top10 ~ C(univ) + C(subject) + C(doctype) + jif + jif^2 + years "
           "+ authors + pages + pages^2")
@@ -49,10 +49,11 @@ def test_c01_ame_equals_aap_difference(toy_fit, corpus2k, corpus15k_fit):
         for factor, levels in tm.factor_levels.items():
             base = levels[0]
             for level in levels[1:]:
-                diff = (lm.aap_factor(fr, design, factor, level).estimate
-                        - lm.aap_factor(fr, design, factor, base).estimate)
-                got = lm.ame_factor(fr, design, factor, level, base).estimate
-                worst = max(worst, abs(got - diff))
+                aap, = margin_rows(fr, design, "aap", factor, levels=(level,))
+                aap_base, = margin_rows(fr, design, "aap", factor, levels=(base,))
+                diff = aap.estimate - aap_base.estimate
+                got, = margin_rows(fr, design, "ame", factor, levels=(level,), base=base)
+                worst = max(worst, abs(got.estimate - diff))
     ok = worst <= 1e-12
     report(1, "AME equals AAP difference to 1e-12", ok, f"worst {worst:.2e}")
     assert ok
@@ -68,7 +69,7 @@ def _ame_zero(b_lin: float, b_sq: float, lo: float, hi: float) -> float:
                       ll0=-2.0, n=7, k=3, iterations=1, converged=True, term_map=tm)
 
     def ame(v: float) -> float:
-        return lm.ame_continuous_at(fr, X, "v", [v])[0].estimate
+        return margin_rows(fr, X, "ame", "v", at=("v", (v,)))[0].estimate
 
     a, b = lo, hi
     fa = ame(a)
@@ -144,7 +145,7 @@ def test_c05_gradient_oracles(toy_fit):
     tm = fr.term_map
     margin_err = 0.0
 
-    Xsub = lm.substitute_matrix(design.X, tm, "g", "c")
+    Xsub = substitute_matrix(design.X, tm, "g", "c")
     grad = kernel_gradient(fr, design, lm.MarginRequest("aap", "g", levels=("c",)))
     fd = fd_gradient(lambda b: float(expit(Xsub @ b).mean()), fr.beta)
     margin_err = max(margin_err,
@@ -154,7 +155,7 @@ def test_c05_gradient_oracles(toy_fit):
         grad = kernel_gradient(fr, design, lm.MarginRequest("ame", "x", at=("x", (v,))))
 
         def ame_est(b, v=v):
-            Xs = lm.substitute_matrix(design.X, tm, "x", v)
+            Xs = substitute_matrix(design.X, tm, "x", v)
             p = expit(Xs @ b)
             slope = b[tm.linear_col("x")] + 2.0 * b[tm.square_col("x")] * v
             return float((p * (1 - p) * slope).mean())
@@ -181,30 +182,32 @@ def test_c06_brute_force_margins_oracle(toy_fit, toy_fit_bystander):
     fr, design = toy_fit  # y ~ C(g) + x + x^2
     oracle = ToyModel(factors={"g": ("b", "c")}, continuous={"x": True}, raw=raw)
     for level in ("a", "b", "c"):
-        worst = max(worst, abs(lm.aap_factor(fr, design, "g", level).estimate
-                               - oracle.aap(fr.beta, "g", level)))
-        worst = max(worst, abs(lm.aap_factor(fr, design, "g", level,
-                                             atmeans=True).estimate
-                               - oracle.apm(fr.beta, "g", level)))
+        worst = max(worst, abs(
+            margin_rows(fr, design, "aap", "g", levels=(level,))[0].estimate
+            - oracle.aap(fr.beta, "g", level)))
+        worst = max(worst, abs(
+            margin_rows(fr, design, "apm", "g", levels=(level,))[0].estimate
+            - oracle.apm(fr.beta, "g", level)))
     for level in ("b", "c"):
-        worst = max(worst, abs(lm.ame_factor(fr, design, "g", level, "a").estimate
-                               - oracle.ame(fr.beta, "g", level, "a")))
-        worst = max(worst, abs(lm.ame_factor(fr, design, "g", level, "a",
-                                             atmeans=True).estimate
-                               - oracle.mem(fr.beta, "g", level, "a")))
+        worst = max(worst, abs(
+            margin_rows(fr, design, "ame", "g", levels=(level,), base="a")[0].estimate
+            - oracle.ame(fr.beta, "g", level, "a")))
+        worst = max(worst, abs(
+            margin_rows(fr, design, "mem", "g", levels=(level,), base="a")[0].estimate
+            - oracle.mem(fr.beta, "g", level, "a")))
     for v in (0.0, 1.0, 2.0):
         worst = max(worst, abs(
-            lm.aap_continuous_at(fr, design, "x", [v])[0].estimate
+            margin_rows(fr, design, "aap", "x", at=("x", (v,)))[0].estimate
             - oracle.aap(fr.beta, "x", v)))
         worst = max(worst, abs(
-            lm.ame_continuous_at(fr, design, "x", [v])[0].estimate
+            margin_rows(fr, design, "ame", "x", at=("x", (v,)))[0].estimate
             - oracle.ame_derivative(fr.beta, "x", v)))
 
     fr2, design2 = toy_fit_bystander  # y ~ C(g) + x + z
     oracle2 = ToyModel(factors={"g": ("b", "c")},
                        continuous={"x": False, "z": False}, raw=raw)
     grid = (0.5, 2.0)
-    rows = lm.aprv(fr2, design2, "g", ("a", "b", "c"), "x", grid)
+    rows = margin_rows(fr2, design2, "aprv", "g", levels=("a", "b", "c"), at=("x", grid))
     i = 0
     for level in ("a", "b", "c"):
         for v in grid:
@@ -212,7 +215,9 @@ def test_c06_brute_force_margins_oracle(toy_fit, toy_fit_bystander):
                                    - oracle2.aprv(fr2.beta, "g", level, "x", v)))
             i += 1
     for level in ("b", "c"):
-        for row, v in zip(lm.merv(fr2, design2, "g", level, "a", "x", grid), grid):
+        merv = margin_rows(fr2, design2, "merv", "g", levels=(level,), base="a",
+                           at=("x", grid))
+        for row, v in zip(merv, grid, strict=True):
             worst = max(worst, abs(row.estimate
                                    - oracle2.merv(fr2.beta, "g", level, "a", "x", v)))
 

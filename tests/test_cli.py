@@ -247,6 +247,44 @@ def test_malformed_model_json_exits_1(workspace, tmp_path):
     assert "cannot read model" in r.stderr and "symmetric" in r.stderr
 
 
+# a field of the wrong type, and a term map that loads but differs from the
+# one its formula builds on the data, each give one error line
+@pytest.mark.parametrize("case", ["k_null", "renamed_column"])
+def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
+    d = json.loads((workspace / "m.json").read_text())
+    if case == "k_null":
+        d["k"] = None
+    else:
+        d["term_map"]["columns"][-1]["source"] = "jif"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    r = run_cli("margins", "--model", str(bad), "--data", str(workspace / "s.csv"),
+                "--aap", "C(univ)")
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
+# each malformed fit flag: one error line, exit 1, never a traceback
+@pytest.mark.parametrize("flag, value", [
+    pytest.param("--schema", SCHEMA.replace("univ4]", "univ4"), id="unterminated-levels"),
+    pytest.param("--schema", SCHEMA.replace("jif:continuous", "jif"), id="no-kind"),
+    pytest.param("--schema", SCHEMA.replace("jif:continuous", "jif:interval"),
+                 id="unknown-kind"),
+    pytest.param("--ref", "univ", id="no-equals"),
+    pytest.param("--ref", "univ=univ9", id="unknown-level"),
+    pytest.param("--ref", "nope=univ1", id="unknown-variable"),
+    pytest.param("--ref", "=univ1", id="empty-variable"),
+])
+def test_malformed_fit_flag_exits_1(workspace, flag, value):
+    flags = {"--schema": SCHEMA, "--ref": "univ=univ1", flag: value}
+    r = run_cli("fit", "--data", str(workspace / "s.csv"), "--model", MODEL3,
+                *(x for item in flags.items() for x in item))
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
 def test_unknown_grid_variable_exits_1(workspace):
     r = run_cli("margins", "--model", str(workspace / "m.json"),
                 "--data", str(workspace / "s.csv"), "--at", "foo=0:2:1")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import logitmargins as lm
-from logitmargins.formula import (Factor, FormulaError, Linear, Power, build_design,
-                                  parse_formula, substitute, substitute_matrix)
+from logitmargins.formula import (ColumnRole, Factor, FormulaError, Linear, Power,
+                                  build_design, parse_formula, substitute,
+                                  substitute_matrix)
 from oracles import ToyModel
 
 
@@ -73,6 +74,12 @@ def test_reference_override(toy_ds):
                           reference={"g": "c"})
     assert design.term_map.reference["g"] == "c"
     assert design.term_map.labels == ("intercept", "g=a", "g=b", "x")
+
+
+@pytest.mark.parametrize("var", ["nope", "x", ""])
+def test_reference_for_non_factor_rejected(toy_ds, var):
+    with pytest.raises(FormulaError, match="not a factor term"):
+        build_design(toy_ds, parse_formula("y ~ C(g) + x"), reference={var: "a"})
 
 
 def test_level_order_override(toy_ds):
@@ -159,3 +166,12 @@ def test_term_map_serialization_round_trip(toy_ds):
     tm = design.term_map
     back = lm.TermMap.from_dict(tm.to_dict())
     assert back == tm
+
+
+def test_unknown_column_transform_rejected(toy_ds):
+    with pytest.raises(FormulaError, match="unknown column transform 'cube'"):
+        ColumnRole("x", "cube")
+    d = build_design(toy_ds, parse_formula("y ~ x + x^2")).term_map.to_dict()
+    d["columns"][-1]["transform"] = "cube"
+    with pytest.raises(FormulaError, match="unknown column transform"):
+        lm.TermMap.from_dict(d)

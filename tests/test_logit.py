@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import expit
 
 import logitmargins as lm
+from logitmargins.formula import ColumnRole, TermMap, substitute
 from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
                                 SeparationError, fit, fit_stats, from_json,
                                 log_likelihood, predict, score_and_hessian, to_json)
@@ -221,7 +223,7 @@ def test_predict_monotone_in_positive_coefficient(toy_fit):
     slope = fr.beta[j] + 2 * fr.beta[sq] * base[j]
     rows = []
     for delta in (0.0, 0.1, 0.2):
-        r = lm.substitute(base, design.term_map, "x", float(base[j] + delta))
+        r = substitute(base, design.term_map, "x", float(base[j] + delta))
         rows.append(r)
     ps = predict(fr, np.array(rows))
     if slope > 0:
@@ -292,9 +294,34 @@ def test_model_json_round_trip(toy_fit):
     assert back.term_map == fr.term_map
 
 
-def _mangle(d: dict, field: str):
+# intercept, a 3-level factor and a continuous variable with its square
+ROUND_TRIP_TERMS = TermMap(
+    columns=(ColumnRole(None, "intercept"), ColumnRole("g", "indicator", "b"),
+             ColumnRole("g", "indicator", "c"), ColumnRole("x", "identity"),
+             ColumnRole("x", "square")),
+    reference={"g": "a"}, factor_levels={"g": ("a", "b", "c")})
+
+
+@given(beta=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5,
+                     max_size=5),
+       a=st.lists(st.floats(-1e3, 1e3), min_size=25, max_size=25),
+       ll=st.floats(-1e6, 0.0), n=st.integers(1, 10**6))
+def test_model_json_round_trip_is_byte_exact(beta, a, ll, n):
+    A = np.array(a).reshape(5, 5)
+    C = A @ A.T + 1e-3 * np.eye(5)
+    cov = (C + C.T) / 2.0  # exactly symmetric, positive definite
+    fr = lm.FitResult(beta=np.array(beta), cov=cov, ll=ll, ll0=2.0 * ll, n=n, k=5,
+                      iterations=7, converged=True, term_map=ROUND_TRIP_TERMS)
+    text = to_json(fr, "y ~ C(g) + x + x^2")
+    back, formula = from_json(text)
+    assert to_json(back, formula) == text
+
+
+def _mangle(d, field: str):
     k = d["k"]
     cov = np.array(d["cov"])
+    if field == "top_level_list":
+        return [d]
     if field == "short_beta":
         d["beta"] = d["beta"][:-1]
     elif field == "k":
@@ -311,6 +338,18 @@ def _mangle(d: dict, field: str):
         d["cov"][2][2] = -abs(d["cov"][2][2])
     elif field == "ragged":
         d["cov"][0] = d["cov"][0][:-1]
+    elif field == "k_null":
+        d["k"] = None
+    elif field == "ll_null":
+        d["ll"] = None
+    elif field == "term_map_null":
+        d["term_map"] = None
+    elif field == "levels_int":
+        d["term_map"]["factor_levels"]["g"] = 3
+    elif field == "columns_int":
+        d["term_map"]["columns"] = list(range(k))
+    elif field == "cube":
+        d["term_map"]["columns"][-1]["transform"] = "cube"
     return d
 
 
@@ -318,7 +357,10 @@ def _mangle(d: dict, field: str):
     ("short_beta", "beta has shape"), ("k", "beta has shape"),
     ("cov_shape", "cov has shape"), ("cov_nan", "finite"), ("beta_inf", "finite"),
     ("asymmetric", "symmetric"), ("diagonal", "non-positive diagonal"),
-    ("ragged", None),
+    ("ragged", None), ("k_null", "malformed"), ("ll_null", "malformed"),
+    ("top_level_list", "must be an object"), ("term_map_null", "malformed"),
+    ("levels_int", "malformed"), ("columns_int", "malformed"),
+    ("cube", "unknown column transform 'cube'"),
 ])
 def test_model_json_rejects_malformed_fit(toy_fit, field, message):
     fr, _ = toy_fit

@@ -7,12 +7,11 @@ from scipy.special import expit
 from scipy.stats import norm
 
 import logitmargins as lm
-from logitmargins.margins import (MarginsError, aap_continuous_at, aap_factor,
-                                  ame_continuous_at, ame_factor, aprv, bootstrap_se,
-                                  compute_margins, margins_tsv, mean_design_row, merv,
-                                  zstar)
+from logitmargins.formula import substitute_matrix
+from logitmargins.margins import (MarginsError, bootstrap_se, compute_margins,
+                                  margins_tsv, mean_design_row, zstar)
 from oracles import ToyModel, fd_gradient
-from conftest import kernel_gradient
+from conftest import kernel_gradient, margin_rows
 
 TOL = 1e-12
 
@@ -34,31 +33,31 @@ def test_aap_factor_matches_oracle(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
     for level in ("a", "b", "c"):
-        got = aap_factor(fr, design, "g", level).estimate
-        assert abs(got - oracle.aap(fr.beta, "g", level)) < TOL
+        got, = margin_rows(fr, design, "aap", "g", levels=(level,))
+        assert abs(got.estimate - oracle.aap(fr.beta, "g", level)) < TOL
 
 
 def test_ame_factor_matches_oracle(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
     for level in ("b", "c"):
-        got = ame_factor(fr, design, "g", level, "a").estimate
-        assert abs(got - oracle.ame(fr.beta, "g", level, "a")) < TOL
+        got, = margin_rows(fr, design, "ame", "g", levels=(level,), base="a")
+        assert abs(got.estimate - oracle.ame(fr.beta, "g", level, "a")) < TOL
 
 
 def test_aap_continuous_matches_oracle(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
-    rows = aap_continuous_at(fr, design, "x", [0.0, 1.0, 2.0])
-    for row, v in zip(rows, (0.0, 1.0, 2.0)):
+    rows = margin_rows(fr, design, "aap", "x", at=("x", (0.0, 1.0, 2.0)))
+    for row, v in zip(rows, (0.0, 1.0, 2.0), strict=True):
         assert abs(row.estimate - oracle.aap(fr.beta, "x", v)) < TOL
 
 
 def test_ame_continuous_matches_oracle(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
-    rows = ame_continuous_at(fr, design, "x", [0.5, 1.5, 2.5])
-    for row, v in zip(rows, (0.5, 1.5, 2.5)):
+    rows = margin_rows(fr, design, "ame", "x", at=("x", (0.5, 1.5, 2.5)))
+    for row, v in zip(rows, (0.5, 1.5, 2.5), strict=True):
         assert abs(row.estimate - oracle.ame_derivative(fr.beta, "x", v)) < TOL
 
 
@@ -67,15 +66,17 @@ def test_aprv_and_merv_match_oracle(toy_fit_bystander, toy_ds):
     g = toy_ds.column("g")
     oracle = toy_oracle(toy_ds, with_square=False)
     grid = (0.5, 2.0)
-    rows = aprv(fr, design, "g", ("a", "b", "c"), "x", grid)
+    rows = margin_rows(fr, design, "aprv", "g", levels=("a", "b", "c"), at=("x", grid))
+    assert len(rows) == 6
     i = 0
     for level in ("a", "b", "c"):
         for v in grid:
             assert abs(rows[i].estimate - oracle.aprv(fr.beta, "g", level, "x", v)) < TOL
             i += 1
     for level in ("b", "c"):
-        got = merv(fr, design, "g", level, "a", "x", grid)
-        for row, v in zip(got, grid):
+        got = margin_rows(fr, design, "merv", "g", levels=(level,), base="a",
+                          at=("x", grid))
+        for row, v in zip(got, grid, strict=True):
             assert abs(row.estimate - oracle.merv(fr.beta, "g", level, "a", "x", v)) < TOL
 
 
@@ -83,12 +84,12 @@ def test_apm_mem_match_oracle(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
     for level in ("a", "b", "c"):
-        got = aap_factor(fr, design, "g", level, atmeans=True).estimate
-        assert abs(got - oracle.apm(fr.beta, "g", level)) < TOL
-    got = ame_factor(fr, design, "g", "c", "a", atmeans=True).estimate
-    assert abs(got - oracle.mem(fr.beta, "g", "c", "a")) < TOL
-    got = aap_continuous_at(fr, design, "x", [1.25], atmeans=True)[0].estimate
-    assert abs(got - oracle.apm(fr.beta, "x", 1.25)) < TOL
+        got, = margin_rows(fr, design, "apm", "g", levels=(level,))
+        assert abs(got.estimate - oracle.apm(fr.beta, "g", level)) < TOL
+    got, = margin_rows(fr, design, "mem", "g", levels=("c",), base="a")
+    assert abs(got.estimate - oracle.mem(fr.beta, "g", "c", "a")) < TOL
+    got, = margin_rows(fr, design, "apm", "x", at=("x", (1.25,)))
+    assert abs(got.estimate - oracle.apm(fr.beta, "x", 1.25)) < TOL
 
 
 # --- exact identities and invariants ----------------------------------------
@@ -100,48 +101,62 @@ def test_ame_is_exact_aap_difference(toy_fit, corpus2k):
         levels = tm.factor_levels[factor]
         base = levels[0]
         for level in levels[1:]:
-            diff = (aap_factor(fr, design, factor, level).estimate
-                    - aap_factor(fr, design, factor, base).estimate)
-            got = ame_factor(fr, design, factor, level, base).estimate
-            assert abs(got - diff) <= TOL
+            aap, = margin_rows(fr, design, "aap", factor, levels=(level,))
+            aap_base, = margin_rows(fr, design, "aap", factor, levels=(base,))
+            diff = aap.estimate - aap_base.estimate
+            got, = margin_rows(fr, design, "ame", factor, levels=(level,), base=base)
+            assert abs(got.estimate - diff) <= TOL
 
 
-def test_ame_of_level_with_itself_is_zero(toy_fit):
+def test_effect_skips_level_equal_to_base(toy_fit):
     fr, design = toy_fit
-    row = ame_factor(fr, design, "g", "b", "b")
-    assert row.estimate == 0.0 and row.se == 0.0
+    grid = ("x", (0.0, 1.0, 2.0))
+    for kind, at in (("ame", None), ("mem", None), ("merv", grid), ("mem", grid)):
+        assert margin_rows(fr, design, kind, "g", levels=("b",), base="b", at=at) == []
+    rows = margin_rows(fr, design, "merv", "g", levels=("a", "b"), base="a", at=grid)
+    assert [r.label for r in rows] == ["MERV g=b-a"] * 3
 
 
-def test_merv_level_equals_base_is_identically_zero(toy_fit):
+def _flat_fit(design, cov_scale: float) -> lm.FitResult:
+    # zero coefficients on everything except an intercept at logit(ybar)
+    ybar = float(design.y.mean())
+    beta = np.zeros(design.k)
+    beta[0] = math.log(ybar / (1 - ybar))
+    return lm.FitResult(beta=beta, cov=np.eye(design.k) * cov_scale, ll=-1.0, ll0=-1.0,
+                        n=design.n, k=design.k, iterations=1, converged=True,
+                        term_map=design.term_map)
+
+
+def test_flat_model_gives_ybar_everywhere(toy_fit):
     fr, design = toy_fit
-    rows = merv(fr, design, "g", "a", "a", "x", (0.0, 1.0, 2.0))
+    ybar = float(design.y.mean())
+    flat = _flat_fit(design, 1e-4)
+    for row in margin_rows(flat, design, "aap", "g"):
+        assert row.estimate == pytest.approx(ybar, abs=1e-12)
+    for row in margin_rows(flat, design, "aap", "x", at=("x", (0.0, 5.0, 9.0))):
+        assert row.estimate == pytest.approx(ybar, abs=1e-12)
+
+
+def test_flat_model_effect_is_exactly_zero(toy_fit):
+    # every level predicts the same probabilities, so each contrast cancels
+    # exactly; with no coefficient uncertainty the SE is 0 and z, p take
+    # their zero-SE values
+    fr, design = toy_fit
+    flat = _flat_fit(design, 0.0)
+    rows = [*margin_rows(flat, design, "ame", "g"),
+            *margin_rows(flat, design, "merv", "g", at=("x", (0.0, 1.0, 2.0)))]
+    assert len(rows) == 8
     for row in rows:
         assert row.estimate == 0.0
         assert row.se == 0.0
         assert row.z == 0.0 and row.p == 1.0
 
 
-def test_flat_model_gives_ybar_everywhere(toy_fit):
-    # zero coefficients on everything except an intercept at logit(ybar)
-    fr, design = toy_fit
-    ybar = float(design.y.mean())
-    beta = np.zeros(design.k)
-    beta[0] = math.log(ybar / (1 - ybar))
-    flat = lm.FitResult(beta=beta, cov=np.eye(design.k) * 1e-4, ll=-1.0, ll0=-1.0,
-                        n=design.n, k=design.k, iterations=1, converged=True,
-                        term_map=design.term_map)
-    for level in ("a", "b", "c"):
-        assert aap_factor(flat, design, "g", level).estimate == pytest.approx(ybar, abs=1e-12)
-    for row in aap_continuous_at(flat, design, "x", [0.0, 5.0, 9.0]):
-        assert row.estimate == pytest.approx(ybar, abs=1e-12)
-
-
 def test_estimates_stay_in_unit_interval(toy_fit, corpus2k):
     for fr, design in (toy_fit, corpus2k):
         tm = fr.term_map
         factor = next(iter(tm.factor_levels))
-        for level in tm.factor_levels[factor]:
-            r = aap_factor(fr, design, factor, level)
+        for r in margin_rows(fr, design, "aap", factor):
             assert 0.0 < r.estimate < 1.0
             assert r.ci_low <= r.estimate <= r.ci_high
 
@@ -149,8 +164,8 @@ def test_estimates_stay_in_unit_interval(toy_fit, corpus2k):
 def test_aap_ordering_matches_oracle_ordering(toy_fit, toy_ds):
     fr, design = toy_fit
     oracle = toy_oracle(toy_ds, with_square=True)
-    ours = sorted(("a", "b", "c"),
-                  key=lambda lv: aap_factor(fr, design, "g", lv).estimate)
+    ours = sorted(("a", "b", "c"), key=lambda lv: margin_rows(
+        fr, design, "aap", "g", levels=(lv,))[0].estimate)
     theirs = sorted(("a", "b", "c"), key=lambda lv: oracle.aap(fr.beta, "g", lv))
     assert ours == theirs
 
@@ -159,7 +174,7 @@ def test_ame_curve_not_constant_when_probabilities_vary(toy_fit_bystander):
     # no squared term: the slope is constant in the linear predictor but the
     # derivative of the probability still varies with v through p(1-p)
     fr, design = toy_fit_bystander
-    rows = ame_continuous_at(fr, design, "x", [0.0, 1.0, 2.0, 3.0])
+    rows = margin_rows(fr, design, "ame", "x", at=("x", (0.0, 1.0, 2.0, 3.0)))
     vals = [r.estimate for r in rows]
     assert max(vals) - min(vals) > 1e-6
 
@@ -168,9 +183,9 @@ def test_ame_matches_finite_difference_of_aap_curve(toy_fit):
     fr, design = toy_fit
     h = 1e-4
     for v in (0.6, 1.4, 2.2):
-        up = aap_continuous_at(fr, design, "x", [v + h])[0].estimate
-        dn = aap_continuous_at(fr, design, "x", [v - h])[0].estimate
-        got = ame_continuous_at(fr, design, "x", [v])[0].estimate
+        up = margin_rows(fr, design, "aap", "x", at=("x", (v + h,)))[0].estimate
+        dn = margin_rows(fr, design, "aap", "x", at=("x", (v - h,)))[0].estimate
+        got = margin_rows(fr, design, "ame", "x", at=("x", (v,)))[0].estimate
         assert abs(got - (up - dn) / (2 * h)) < 1e-6
 
 
@@ -183,13 +198,13 @@ def test_delta_gradients_match_fd_in_beta(toy_fit):
         denom = max(1e-12, float(np.max(np.abs(grad))))
         assert np.max(np.abs(grad - fd)) / denom < 1e-6
 
-    Xsub = lm.substitute_matrix(design.X, tm, "g", "b")
+    Xsub = substitute_matrix(design.X, tm, "g", "b")
     grad = kernel_gradient(fr, design, lm.MarginRequest("aap", "g", levels=("b",)))
     rel_check(grad, lambda b: float(expit(Xsub @ b).mean()))
 
     grad = kernel_gradient(fr, design, lm.MarginRequest("ame", "x", at=("x", (1.5,))))
     def ame_at(b):
-        Xs = lm.substitute_matrix(design.X, tm, "x", 1.5)
+        Xs = substitute_matrix(design.X, tm, "x", 1.5)
         p = expit(Xs @ b)
         slope = b[tm.linear_col("x")] + 2.0 * b[tm.square_col("x")] * 1.5
         return float((p * (1 - p) * slope).mean())
@@ -208,7 +223,7 @@ def test_substitution_keeps_square_columns_coherent(toy_fit):
     fr, design = toy_fit
     tm = fr.term_map
     for v in (0.0, 2.5, 7.0):
-        Xs = lm.substitute_matrix(design.X, tm, "x", v)
+        Xs = substitute_matrix(design.X, tm, "x", v)
         assert np.array_equal(Xs[:, tm.square_col("x")],
                               Xs[:, tm.linear_col("x")] ** 2)
         assert (Xs[:, tm.linear_col("x")] == v).all()
@@ -217,10 +232,10 @@ def test_substitution_keeps_square_columns_coherent(toy_fit):
 def test_aprv_single_level_consistent_with_aap_curve(toy_fit_bystander):
     fr, design = toy_fit_bystander
     grid = (0.5, 1.0, 1.5)
-    via_aprv = aprv(fr, design, "g", ("b",), "x", grid)
-    Xb = lm.substitute_matrix(design.X, fr.term_map, "g", "b")
-    via_curve = aap_continuous_at(fr, Xb, "x", grid)
-    for a, b in zip(via_aprv, via_curve):
+    via_aprv = margin_rows(fr, design, "aprv", "g", levels=("b",), at=("x", grid))
+    Xb = substitute_matrix(design.X, fr.term_map, "g", "b")
+    via_curve = margin_rows(fr, Xb, "aap", "x", at=("x", grid))
+    for a, b in zip(via_aprv, via_curve, strict=True):
         assert a.estimate == pytest.approx(b.estimate, abs=TOL)
         assert a.se == pytest.approx(b.se, abs=TOL)
 
@@ -235,7 +250,7 @@ def test_aprv_memory_stays_blocked(corpus15k_fit):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        rows = aprv(fr, design, "univ", levels, "jif", grid)
+        rows = margin_rows(fr, design, "aprv", "univ", levels=levels, at=("jif", grid))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -262,7 +277,7 @@ def test_apm_equals_logistic_at_mean_for_linear_model(toy_ds):
     fr = lm.fit(design)
     xbar = float(toy_ds.column("x").values.mean())
     expected = float(expit(fr.beta[0] + fr.beta[1] * xbar))
-    got = aap_continuous_at(fr, design, "x", [xbar], atmeans=True)[0].estimate
+    got = margin_rows(fr, design, "apm", "x", at=("x", (xbar,)))[0].estimate
     assert got == pytest.approx(expected, abs=TOL)
 
 
@@ -280,8 +295,8 @@ def test_apm_differs_from_aap_on_skewed_data():
     design = lm.build_design(ds, lm.parse_formula("y ~ x + z"))
     fr = lm.fit(design)
     v = 0.0
-    aap = aap_continuous_at(fr, design, "x", [v])[0].estimate
-    apm = aap_continuous_at(fr, design, "x", [v], atmeans=True)[0].estimate
+    aap = margin_rows(fr, design, "aap", "x", at=("x", (v,)))[0].estimate
+    apm = margin_rows(fr, design, "apm", "x", at=("x", (v,)))[0].estimate
     assert abs(aap - apm) > 0.01
 
 
@@ -296,7 +311,7 @@ def test_zstar_values():
 
 def test_ci_uses_fixed_critical_value(toy_fit):
     fr, design = toy_fit
-    row = aap_factor(fr, design, "g", "b")
+    row, = margin_rows(fr, design, "aap", "g", levels=("b",))
     assert row.ci_high - row.estimate == pytest.approx(1.959964 * row.se, rel=1e-12)
 
 
@@ -313,8 +328,14 @@ def test_compute_margins_routing(toy_fit):
         kind="merv", target="g", at=("x", (0.0, 1.0))))
     assert [r.label for r in rows][:2] == ["MERV g=b-a", "MERV g=b-a"]
     rows = compute_margins(fr, design, lm.MarginRequest(
+        kind="mem", target="g", at=("x", (0.0, 1.0))))
+    assert [r.label for r in rows] == ["MEM g=b-a"] * 2 + ["MEM g=c-a"] * 2
+    rows = compute_margins(fr, design, lm.MarginRequest(
         kind="ame", target="x", at=("x", (0.5, 1.5))))
     assert len(rows) == 2
+    for kind, label in (("ame", "AME x (observed)"), ("mem", "MEM x")):
+        rows = compute_margins(fr, design, lm.MarginRequest(kind=kind, target="x"))
+        assert [r.label for r in rows] == [label]
     with pytest.raises(MarginsError):
         compute_margins(fr, design, lm.MarginRequest(kind="aap", target="x"))
     with pytest.raises(MarginsError):
@@ -324,26 +345,26 @@ def test_compute_margins_routing(toy_fit):
 def test_grid_validation(toy_fit):
     fr, design = toy_fit
     with pytest.raises(MarginsError, match="empty"):
-        aap_continuous_at(fr, design, "x", [])
+        margin_rows(fr, design, "aap", "x", at=("x", ()))
     with pytest.raises(MarginsError, match="ascending"):
-        aap_continuous_at(fr, design, "x", [2.0, 1.0])
+        margin_rows(fr, design, "aap", "x", at=("x", (2.0, 1.0)))
     with pytest.raises(MarginsError, match="non-finite"):
-        aap_continuous_at(fr, design, "x", [0.0, float("inf")])
+        margin_rows(fr, design, "aap", "x", at=("x", (0.0, float("inf"))))
 
 
 def test_unknown_variable_and_level(toy_fit):
     fr, design = toy_fit
     with pytest.raises(MarginsError):
-        aap_factor(fr, design, "g", "zz")
+        margin_rows(fr, design, "aap", "g", levels=("zz",))
     with pytest.raises((MarginsError, KeyError)):
-        aap_continuous_at(fr, design, "missing", [1.0])
+        margin_rows(fr, design, "aap", "missing", at=("missing", (1.0,)))
 
 
 def test_extrapolation_flagged(toy_fit):
     fr, design = toy_fit
     lo = float(design.X[:, fr.term_map.linear_col("x")].min())
     hi = float(design.X[:, fr.term_map.linear_col("x")].max())
-    rows = aap_continuous_at(fr, design, "x", [lo - 1.0, lo, hi, hi + 1.0])
+    rows = margin_rows(fr, design, "aap", "x", at=("x", (lo - 1.0, lo, hi, hi + 1.0)))
     assert [r.extrapolated for r in rows] == [True, False, False, True]
 
 
@@ -420,13 +441,13 @@ def test_bootstrap_failure_ceiling():
 def test_discrete_change_effect_is_aap_unit_difference(toy_fit):
     fr, design = toy_fit
     for v in (0.5, 1.5):
-        got = ame_continuous_at(fr, design, "x", [v], discrete=True)[0]
-        up = aap_continuous_at(fr, design, "x", [v + 1.0])[0].estimate
-        dn = aap_continuous_at(fr, design, "x", [v])[0].estimate
+        got, = margin_rows(fr, design, "ame", "x", at=("x", (v,)), discrete=True)
+        up = margin_rows(fr, design, "aap", "x", at=("x", (v + 1.0,)))[0].estimate
+        dn = margin_rows(fr, design, "aap", "x", at=("x", (v,)))[0].estimate
         assert got.estimate == pytest.approx(up - dn, abs=TOL)
-    deriv = ame_continuous_at(fr, design, "x", [0.5])[0].estimate
-    unit = ame_continuous_at(fr, design, "x", [0.5], discrete=True)[0].estimate
-    assert abs(deriv - unit) > 1e-4  # different estimands
+    deriv, = margin_rows(fr, design, "ame", "x", at=("x", (0.5,)))
+    unit, = margin_rows(fr, design, "ame", "x", at=("x", (0.5,)), discrete=True)
+    assert abs(deriv.estimate - unit.estimate) > 1e-4  # different estimands
 
 
 def test_bootstrap_thread_count_does_not_change_results(corpus2k):
@@ -439,7 +460,7 @@ def test_bootstrap_thread_count_does_not_change_results(corpus2k):
 
 def test_ci_level_changes_width(toy_fit):
     fr, design = toy_fit
-    narrow = aap_factor(fr, design, "g", "b", ci_level=0.5)
-    wide = aap_factor(fr, design, "g", "b", ci_level=0.99)
+    narrow, = margin_rows(fr, design, "aap", "g", levels=("b",), ci_level=0.5)
+    wide, = margin_rows(fr, design, "aap", "g", levels=("b",), ci_level=0.99)
     assert (wide.ci_high - wide.ci_low) > (narrow.ci_high - narrow.ci_low)
     assert narrow.estimate == wide.estimate
