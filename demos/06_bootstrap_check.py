@@ -3,9 +3,9 @@
 The delta method linearizes the margin in the coefficients; the bootstrap
 refits the whole pipeline on resampled rows.  On a healthy problem the two
 agree within a few percent, which is a useful end-to-end audit of both the
-gradients and the resampling machinery.  Seeds make the comparison exactly
-reproducible; MARGINS_THREADS can parallelize the replicates without
-changing the numbers.
+gradients and the resampling machinery.  The replicates run in one loop,
+each from its own child seed spawned from the master seed, so the comparison
+is exactly reproducible.
 """
 
 import logitmargins as lm

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -24,7 +25,6 @@ class ColumnSpec:
     name: str
     kind: str
     levels: Optional[tuple[str, ...]] = None
-    units: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -37,7 +37,6 @@ class ColumnSpec:
 class ContinuousColumn:
     name: str
     values: np.ndarray
-    units: Optional[str] = None
     kind: str = field(default="continuous", init=False)
 
     @property
@@ -187,16 +186,7 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
     other than 0/1, and datasets left empty after filtering.
     """
     specs = _normalize_schema(schema)
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with _csv_rows(path) as (header, rows):
         col_index = {}
         for spec in specs:
             if spec.name not in header:
@@ -204,9 +194,7 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
             col_index[spec.name] = header.index(spec.name)
         raw: list[list[str]] = []
         n_dropped = 0
-        for row in reader:
-            if not row:
-                continue
+        for row in rows:
             cells = [row[col_index[s.name]].strip() if col_index[s.name] < len(row) else ""
                      for s in specs]
             if any(c in MISSING_TOKENS for c in cells):
@@ -223,50 +211,53 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
     return Dataset(name=name or str(path), columns=tuple(columns), n_dropped=n_dropped)
 
 
+@contextlib.contextmanager
+def _csv_rows(path):
+    """Open a CSV file and yield its header and an iterator over its non-empty
+    rows, which streams from the file until the ``with`` block ends."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        yield header, filter(None, reader)
+
+
 def _make_column(spec: ColumnSpec, tokens: list[str]) -> Column:
-    if spec.kind == "continuous":
-        try:
-            values = np.array([float(t) for t in tokens], dtype=np.float64)
-        except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
-            raise DataError(
-                f"non-numeric token {bad!r} in continuous column {spec.name!r}") from None
-        if not np.isfinite(values).all():
-            raise DataError(f"non-finite value in continuous column {spec.name!r}")
-        return ContinuousColumn(spec.name, values, spec.units)
+    if spec.kind == "categorical":
+        # declared level order wins, otherwise first appearance
+        index = {lv: i for i, lv in enumerate(spec.levels or ())}
+        codes = np.empty(len(tokens), dtype=np.int64)
+        for i, t in enumerate(tokens):
+            if t not in index:
+                if spec.levels is not None:
+                    raise DataError(
+                        f"unknown level {t!r} for categorical column {spec.name!r}")
+                index[t] = len(index)
+            codes[i] = index[t]
+        levels = tuple(index) if spec.levels is None else tuple(spec.levels)
+        return CategoricalColumn(spec.name, levels, codes)
+    try:
+        values = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError:
+        bad = next(t for t in tokens if not _is_float(t))
+        raise DataError(
+            f"non-numeric token {bad!r} in {spec.kind} column {spec.name!r}") from None
     if spec.kind == "binary":
-        try:
-            values = np.array([float(t) for t in tokens], dtype=np.float64)
-        except ValueError:
-            bad = next(t for t in tokens if not _is_float(t))
-            raise DataError(
-                f"non-numeric token {bad!r} in binary column {spec.name!r}") from None
         bad_mask = ~np.isin(values, (0.0, 1.0))
         if bad_mask.any():
             i = int(np.argmax(bad_mask))
             raise DataError(
                 f"invalid binary value {tokens[i]!r} in column {spec.name!r}")
         return BinaryColumn(spec.name, values)
-    # categorical: declared level order wins, otherwise first appearance
-    if spec.levels is not None:
-        levels = list(spec.levels)
-        index = {lv: i for i, lv in enumerate(levels)}
-        codes = np.empty(len(tokens), dtype=np.int64)
-        for i, t in enumerate(tokens):
-            if t not in index:
-                raise DataError(
-                    f"unknown level {t!r} for categorical column {spec.name!r}")
-            codes[i] = index[t]
-    else:
-        levels = []
-        index = {}
-        codes = np.empty(len(tokens), dtype=np.int64)
-        for i, t in enumerate(tokens):
-            if t not in index:
-                index[t] = len(levels)
-                levels.append(t)
-            codes[i] = index[t]
-    return CategoricalColumn(spec.name, tuple(levels), codes)
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite value in continuous column {spec.name!r}")
+    return ContinuousColumn(spec.name, values)
 
 
 def _is_float(token: str) -> bool:
@@ -295,7 +286,7 @@ def schema_of(ds: Dataset) -> list[ColumnSpec]:
         elif isinstance(c, BinaryColumn):
             specs.append(ColumnSpec(c.name, "binary"))
         else:
-            specs.append(ColumnSpec(c.name, "continuous", units=c.units))
+            specs.append(ColumnSpec(c.name, "continuous"))
     return specs
 
 
@@ -306,22 +297,13 @@ def sniff_schema(path) -> list[ColumnSpec]:
     continuous, and everything else is categorical.  Missing tokens are
     ignored during inference.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with _csv_rows(path) as (header, rows):
         seen: list[list[str]] = [[] for _ in header]
-        for row in reader:
-            for j in range(min(len(row), len(header))):
-                t = row[j].strip()
+        for row in rows:
+            for tokens, t in zip(seen, row):
+                t = t.strip()
                 if t not in MISSING_TOKENS:
-                    seen[j].append(t)
+                    tokens.append(t)
     specs = []
     for name, tokens in zip(header, seen):
         if tokens and all(t in ("0", "1") for t in tokens):
@@ -384,5 +366,5 @@ def filter_levels(ds: Dataset, var: str, keep: Sequence[str]) -> Dataset:
         elif isinstance(c, BinaryColumn):
             new_cols.append(BinaryColumn(c.name, c.values[mask].copy()))
         else:
-            new_cols.append(ContinuousColumn(c.name, c.values[mask].copy(), c.units))
+            new_cols.append(ContinuousColumn(c.name, c.values[mask].copy()))
     return Dataset(name=ds.name, columns=tuple(new_cols))

@@ -53,14 +53,6 @@ class ModelSpec:
     response: str
     terms: tuple[Term, ...]
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for t in self.terms:
-            if t.var not in seen:
-                seen.append(t.var)
-        return tuple(seen)
-
 
 _TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<num>\d+)"
@@ -196,16 +188,42 @@ class TermMap:
     indicator columns (the omitted level is recorded in ``reference``), and
     a squared term owns a column locked to the square of its base column.
     This map is what makes counterfactual substitution rewrite every column
-    a variable touches, never just one.
+    a variable touches, never just one.  Construction raises
+    :class:`FormulaError` unless each factor has one reference level among
+    its levels and one indicator column per other level, in level order,
+    and every square column has its linear column.
     """
 
     columns: tuple[ColumnRole, ...]
     reference: Mapping[str, str]
     factor_levels: Mapping[str, tuple[str, ...]]
+    # (source, transform, level) -> first column with that role
+    _index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.columns or self.columns[0].transform != INTERCEPT:
+        cols = self.columns
+        if not cols or cols[0].transform != INTERCEPT:
             raise FormulaError("column 0 must be the intercept")
+        if set(self.reference) != set(self.factor_levels):
+            raise FormulaError("reference levels must name exactly the factors")
+        for var, levels in self.factor_levels.items():
+            ref = self.reference[var]
+            if levels.count(ref) != 1:
+                raise FormulaError(f"reference level {ref!r} of factor {var!r} must "
+                                   "be one of its levels, once")
+            got = [c.level for c in cols if c.source == var and c.transform == INDICATOR]
+            if got != [lv for lv in levels if lv != ref]:
+                raise FormulaError(f"indicator columns of factor {var!r} must be its "
+                                   "non-reference levels, in order")
+        index: dict = {}
+        for j, c in enumerate(cols):
+            if c.transform == INDICATOR and c.source not in self.factor_levels:
+                raise FormulaError(f"indicator column {c.label!r} belongs to no factor")
+            index.setdefault((c.source, c.transform, c.level), j)
+        for c in cols:
+            if c.transform == SQUARE and (c.source, IDENTITY, None) not in index:
+                raise FormulaError(f"square column {c.label!r} has no linear column")
+        object.__setattr__(self, "_index", index)
 
     @property
     def k(self) -> int:
@@ -215,40 +233,20 @@ class TermMap:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.columns)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for c in self.columns:
-            if c.source is not None and c.source not in seen:
-                seen.append(c.source)
-        return tuple(seen)
-
-    def cols_of(self, var: str) -> tuple[int, ...]:
-        found = tuple(j for j, c in enumerate(self.columns) if c.source == var)
-        if not found:
-            raise KeyError(f"variable {var!r} is not in the model")
-        return found
-
     def is_factor(self, var: str) -> bool:
         return var in self.factor_levels
 
     def indicator_col(self, var: str, level: str) -> Optional[int]:
-        for j, c in enumerate(self.columns):
-            if c.source == var and c.transform == INDICATOR and c.level == level:
-                return j
-        return None
+        return self._index.get((var, INDICATOR, level))
 
     def linear_col(self, var: str) -> int:
-        for j, c in enumerate(self.columns):
-            if c.source == var and c.transform == IDENTITY:
-                return j
-        raise KeyError(f"variable {var!r} has no linear column")
+        j = self._index.get((var, IDENTITY, None))
+        if j is None:
+            raise KeyError(f"variable {var!r} has no linear column")
+        return j
 
     def square_col(self, var: str) -> Optional[int]:
-        for j, c in enumerate(self.columns):
-            if c.source == var and c.transform == SQUARE:
-                return j
-        return None
+        return self._index.get((var, SQUARE, None))
 
     def to_dict(self) -> dict:
         return {
@@ -368,53 +366,28 @@ def build_design(
     return DesignMatrix(X=X, y=y, term_map=term_map)
 
 
-def _check_value(term_map: TermMap, var: str, value):
-    """Validate a substitution target; returns ('factor', level) or ('cont', float)."""
-    term_map.cols_of(var)  # raises KeyError for unknown variables
-    if term_map.is_factor(var):
-        if value not in term_map.factor_levels[var]:
-            raise KeyError(f"unknown level {value!r} for factor {var!r}")
-        return "factor", value
-    v = float(value)
-    if not np.isfinite(v):
-        raise ValueError(f"non-finite value {value!r} for {var!r}")
-    return "cont", v
-
-
-def substitute(row: np.ndarray, term_map: TermMap, var: str, value) -> np.ndarray:
-    """Return a copy of a design row with ``var`` counterfactually set.
+def substitute_matrix(X: np.ndarray, term_map: TermMap, var: str, value) -> np.ndarray:
+    """Return a copy of a design row, or of every row of ``X``, with ``var`` set.
 
     Every column sourced from ``var`` is rewritten together: indicators flip
     to the new level, the identity column takes the new value, and a square
     column takes its square.  Columns owned by other variables are untouched.
+    Raises ``KeyError`` for an unknown variable or level and ``ValueError``
+    for a non-finite value.
     """
-    kind, val = _check_value(term_map, var, value)
-    out = np.array(row, dtype=np.float64, copy=True)
-    if kind == "factor":
-        for level in term_map.factor_levels[var]:
-            j = term_map.indicator_col(var, level)
-            if j is not None:
-                out[j] = 1.0 if level == val else 0.0
+    if term_map.is_factor(var):
+        if value not in term_map.factor_levels[var]:
+            raise KeyError(f"unknown level {value!r} for factor {var!r}")
+        ref = term_map.reference[var]
+        cols = {term_map.indicator_col(var, lv): float(lv == value)
+                for lv in term_map.factor_levels[var] if lv != ref}
     else:
-        out[term_map.linear_col(var)] = val
-        sq = term_map.square_col(var)
-        if sq is not None:
-            out[sq] = val * val
-    return out
-
-
-def substitute_matrix(X: np.ndarray, term_map: TermMap, var: str, value) -> np.ndarray:
-    """Vectorized :func:`substitute` applied to every row of ``X``."""
-    kind, val = _check_value(term_map, var, value)
+        lin, sq = term_map.linear_col(var), term_map.square_col(var)
+        v = float(value)
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite value {value!r} for {var!r}")
+        cols = {lin: v} if sq is None else {lin: v, sq: v * v}
     out = np.array(X, dtype=np.float64, copy=True)
-    if kind == "factor":
-        for level in term_map.factor_levels[var]:
-            j = term_map.indicator_col(var, level)
-            if j is not None:
-                out[:, j] = 1.0 if level == val else 0.0
-    else:
-        out[:, term_map.linear_col(var)] = val
-        sq = term_map.square_col(var)
-        if sq is not None:
-            out[:, sq] = val * val
+    for j, x in cols.items():
+        out[..., j] = x
     return out

@@ -304,12 +304,22 @@ def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
         raise ValueError("cov has a non-positive diagonal")
 
 
+def _typed(d: dict, name: str, types, what: str):
+    # JSON true/false load as bool, a subclass of int: only a bool field takes one
+    v = d[name]
+    if isinstance(v, bool) != (types is bool) or not isinstance(v, types):
+        raise ValueError(f"malformed model JSON: {name!r} must be {what}, got {v!r}")
+    return v
+
+
 def from_json(text: str) -> tuple[FitResult, str]:
     """Load a fit from model JSON; returns the fit and its formula text.
 
-    Raises ``ValueError`` for a field of the wrong type or an unknown column
-    transform, and unless ``beta`` has one entry per term-map column and
-    ``cov`` is a finite, symmetric k x k matrix with a positive diagonal.
+    Raises ``ValueError`` for a field of the wrong type (``converged`` must
+    be a JSON boolean, ``k``, ``n`` and ``iterations`` integers, ``ll`` and
+    ``ll0`` numbers), for a term map whose columns disagree with its factors,
+    and unless ``beta`` has one entry per term-map column and ``cov`` is a
+    finite, symmetric k x k matrix with a positive diagonal.
     """
     d = json.loads(text)
     if not isinstance(d, dict) or not isinstance(d.get("formula"), str):
@@ -318,17 +328,17 @@ def from_json(text: str) -> tuple[FitResult, str]:
         tm = TermMap.from_dict(d["term_map"])
         beta = np.array(d["beta"], dtype=np.float64)
         cov = np.array(d["cov"], dtype=np.float64)
-        k = int(d["k"])
+        k = _typed(d, "k", int, "an integer")
         _check_model(beta, cov, k, tm)
         fr = FitResult(
             beta=beta,
             cov=cov,
-            ll=float(d["ll"]),
-            ll0=float(d["ll0"]),
-            n=int(d["n"]),
+            ll=float(_typed(d, "ll", (int, float), "a number")),
+            ll0=float(_typed(d, "ll0", (int, float), "a number")),
+            n=_typed(d, "n", int, "an integer"),
             k=k,
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
+            iterations=_typed(d, "iterations", int, "an integer"),
+            converged=_typed(d, "converged", bool, "a boolean"),
             term_map=tm,
         )
     except (TypeError, AttributeError) as exc:

@@ -27,15 +27,12 @@ which asks for estimates only, is available as a cross-check.
 from __future__ import annotations
 
 import math
-import os
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .formula import DesignMatrix, TermMap
+from .formula import SQUARE, DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
 from .logit import FitError, FitResult, expit, fit, two_sided_p
@@ -54,6 +51,7 @@ def zstar(ci_level: float) -> float:
         raise MarginsError(f"ci_level must be in (0,1), got {ci_level}")
     if abs(ci_level - 0.95) < 1e-12:
         return Z95
+    import statistics  # about 5 ms of import, with decimal and fractions
     return statistics.NormalDist().inv_cdf(0.5 + ci_level / 2.0)
 
 
@@ -133,13 +131,10 @@ def mean_design_row(X: Union[np.ndarray, DesignMatrix], term_map: TermMap) -> np
     """
     arr = _design_array(X)
     row = arr.mean(axis=0)
-    for var in term_map.variables:
-        if term_map.is_factor(var):
-            continue
-        sq = term_map.square_col(var)
-        if sq is not None:
-            m = row[term_map.linear_col(var)]
-            row[sq] = m * m
+    for j, c in enumerate(term_map.columns):
+        if c.transform == SQUARE:
+            m = row[term_map.linear_col(c.source)]
+            row[j] = m * m
     row[0] = 1.0
     return row
 
@@ -362,9 +357,12 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
 
     Rows are resampled with replacement, the model refit, and the margins
     recomputed per replicate; the reported standard error is the sd of the
-    replicate estimates.  Replicate seeds are spawned from the master seed,
-    so results do not depend on scheduling.  Replicates whose refit fails
-    are recorded and skipped; more than 10% failures is an error.
+    replicate estimates.  Replicate b resamples with
+    ``default_rng(child_b).integers(0, n, size=n)`` over
+    ``SeedSequence(seed).spawn(reps)``, in spawn order.  Replicates whose
+    refit fails are recorded and skipped; more than 10% failures is an
+    error.  ``workers`` is accepted for compatibility and ignored: the
+    replicates run in one loop.
     """
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
@@ -372,28 +370,19 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     plan = _compile(full_fit, design, request)
     full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
     n = design.n
-    children = np.random.SeedSequence(seed).spawn(reps)
-
-    def one(child) -> Optional[np.ndarray]:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
+    kept = []
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
         Xb = design.X[idx]
-        yb = design.y[idx]
         try:
-            fr = fit(Xb, yb, term_map=design.term_map)
-            return _evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0]
+            fr = fit(Xb, design.y[idx], term_map=design.term_map)
+            kept.append(_evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0])
         except (FitError, MarginsError):
-            return None
+            pass
+        # free the resample before the next one is drawn: with two alive,
+        # each n x k copy is a fresh mmap that page-faults in
+        del Xb
 
-    if workers is None:
-        workers = int(os.environ.get("MARGINS_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, children))
-    else:
-        results = [one(c) for c in children]
-
-    kept = [r for r in results if r is not None]
     failures = reps - len(kept)
     if failures > 0.10 * reps:
         raise MarginsError(f"{failures}/{reps} bootstrap replicates failed to fit")

@@ -45,7 +45,6 @@ class PlotSpec:
     y_label: str
     series: tuple[Series, ...]
     y_range: Optional[tuple[float, float]] = (0.0, 1.0)
-    band_opacity: float = 0.25
 
     def __post_init__(self):
         if not self.series:
@@ -137,7 +136,7 @@ def render(spec: PlotSpec) -> str:
         band += " " + " ".join(f"{_coord(sx(x))},{_coord(sy(l))}"
                                for x, l in zip(reversed(s.x), reversed(s.low)))
         parts.append(f'<polygon points="{band}" fill="{color}" '
-                     f'fill-opacity="{spec.band_opacity:g}" stroke="none"/>')
+                     'fill-opacity="0.25" stroke="none"/>')
         line = " ".join(f"{_coord(sx(x))},{_coord(sy(e))}" for x, e in zip(s.x, s.estimate))
         parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" '
                      f'stroke-width="2"/>')

@@ -247,13 +247,21 @@ def test_malformed_model_json_exits_1(workspace, tmp_path):
     assert "cannot read model" in r.stderr and "symmetric" in r.stderr
 
 
-# a field of the wrong type, and a term map that loads but differs from the
-# one its formula builds on the data, each give one error line
-@pytest.mark.parametrize("case", ["k_null", "renamed_column"])
+# a field of the wrong type, a term map whose columns disagree with its
+# factors, and a term map that loads but differs from the one its formula
+# builds on the data, each give one error line
+@pytest.mark.parametrize("case", ["k_null", "renamed_column", "converged_str",
+                                  "reference_empty", "level_null"])
 def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
     d = json.loads((workspace / "m.json").read_text())
     if case == "k_null":
         d["k"] = None
+    elif case == "converged_str":
+        d["converged"] = "no"
+    elif case == "reference_empty":
+        d["term_map"]["reference"] = {}
+    elif case == "level_null":
+        d["term_map"]["columns"][1]["level"] = None
     else:
         d["term_map"]["columns"][-1]["source"] = "jif"
     bad = tmp_path / "bad.json"
@@ -304,13 +312,14 @@ def test_malformed_grid_range_exits_1(workspace, at):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of the import time and the package needs only
-    # the normal cdf and quantile, which scipy.special provides
-    r = subprocess.run([sys.executable, "-c",
-                        "import sys, logitmargins; print('scipy.stats' in sys.modules)"],
-                       capture_output=True, text=True)
+    # scipy.stats costs most of the import time, and the package needs only
+    # the normal cdf and quantile; concurrent.futures has no user, and
+    # statistics (with decimal and fractions) is only for non-95% levels
+    modules = ["scipy.stats", "concurrent.futures", "statistics"]
+    code = f"import sys, logitmargins; print([m for m in {modules} if m in sys.modules])"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "[]"
 
 
 def test_fit_and_margins_never_import_scipy(workspace, tmp_path):

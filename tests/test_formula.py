@@ -3,8 +3,7 @@ import pytest
 
 import logitmargins as lm
 from logitmargins.formula import (ColumnRole, Factor, FormulaError, Linear, Power,
-                                  build_design, parse_formula, substitute,
-                                  substitute_matrix)
+                                  build_design, parse_formula, substitute_matrix)
 from oracles import ToyModel
 
 
@@ -105,15 +104,15 @@ def test_substitute_factor(toy_ds):
     design = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2"))
     tm = design.term_map
     row = design.X[1]  # g=b
-    out = substitute(row, tm, "g", "a")
+    out = substitute_matrix(row, tm, "g", "a")
     assert out[1] == 0.0 and out[2] == 0.0          # reference: all indicators 0
     assert out[3] == row[3] and out[4] == row[4]    # x columns untouched
-    assert substitute(row, tm, "g", "c").tolist()[1:3] == [0.0, 1.0]
+    assert substitute_matrix(row, tm, "g", "c").tolist()[1:3] == [0.0, 1.0]
 
 
 def test_substitute_linked_square(toy_ds):
     design = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2"))
-    out = substitute(design.X[0], design.term_map, "x", 10.0)
+    out = substitute_matrix(design.X[0], design.term_map, "x", 10.0)
     assert out[3] == 10.0 and out[4] == 100.0
     assert out[1] == design.X[0][1] and out[2] == design.X[0][2]
 
@@ -122,10 +121,11 @@ def test_substitute_round_trip(toy_ds):
     design = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2"))
     tm = design.term_map
     row = design.X[5]
-    back = substitute(substitute(row, tm, "x", 42.0), tm, "x", float(row[3]))
+    moved = substitute_matrix(row, tm, "x", 42.0)
+    back = substitute_matrix(moved, tm, "x", float(row[3]))
     assert np.array_equal(back, row)
     lv = "c" if row[2] == 1.0 else ("b" if row[1] == 1.0 else "a")
-    back = substitute(substitute(row, tm, "g", "a"), tm, "g", lv)
+    back = substitute_matrix(substitute_matrix(row, tm, "g", "a"), tm, "g", lv)
     assert np.array_equal(back, row)
 
 
@@ -133,11 +133,11 @@ def test_substitute_contract_errors(toy_ds):
     design = build_design(toy_ds, parse_formula("y ~ C(g) + x"))
     tm = design.term_map
     with pytest.raises(KeyError):
-        substitute(design.X[0], tm, "z", 1.0)
+        substitute_matrix(design.X[0], tm, "z", 1.0)
     with pytest.raises(KeyError):
-        substitute(design.X[0], tm, "g", "unknown")
+        substitute_matrix(design.X[0], tm, "g", "unknown")
     with pytest.raises(ValueError):
-        substitute(design.X[0], tm, "x", float("nan"))
+        substitute_matrix(design.X[0], tm, "x", float("nan"))
 
 
 def test_substitute_matrix_matches_rowwise(toy_ds):
@@ -145,7 +145,7 @@ def test_substitute_matrix_matches_rowwise(toy_ds):
     tm = design.term_map
     full = substitute_matrix(design.X, tm, "x", 3.5)
     for i in range(design.n):
-        assert np.array_equal(full[i], substitute(design.X[i], tm, "x", 3.5))
+        assert np.array_equal(full[i], substitute_matrix(design.X[i], tm, "x", 3.5))
 
 
 def test_design_matches_naive_row_evaluator(toy_ds):
@@ -166,6 +166,56 @@ def test_term_map_serialization_round_trip(toy_ds):
     tm = design.term_map
     back = lm.TermMap.from_dict(tm.to_dict())
     assert back == tm
+
+
+def _bad_layout(d: dict, case: str) -> dict:
+    cols = d["columns"]  # intercept, g=b, g=c, x, x^2
+    if case == "reference_empty":
+        d["reference"] = {}
+    elif case == "reference_unknown":
+        d["reference"]["g"] = "z"
+    elif case == "reference_stray":
+        d["reference"]["x"] = "a"
+    elif case == "level_null":
+        cols[1]["level"] = None
+    elif case == "levels_reordered":
+        cols[1]["level"], cols[2]["level"] = "c", "b"
+    elif case == "indicator_missing":
+        del cols[2]
+    elif case == "indicator_of_non_factor":
+        cols.append({"source": "x", "transform": "indicator", "level": "b"})
+    elif case == "square_without_linear":
+        del cols[3]
+    return d
+
+
+@pytest.mark.parametrize("case, message", [
+    ("reference_empty", "name exactly the factors"),
+    ("reference_unknown", "reference level 'z' of factor 'g'"),
+    ("reference_stray", "name exactly the factors"),
+    ("level_null", "indicator columns of factor 'g'"),
+    ("levels_reordered", "indicator columns of factor 'g'"),
+    ("indicator_missing", "indicator columns of factor 'g'"),
+    ("indicator_of_non_factor", "belongs to no factor"),
+    ("square_without_linear", "has no linear column"),
+])
+def test_term_map_rejects_inconsistent_layout(toy_ds, case, message):
+    tm = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2")).term_map
+    with pytest.raises(FormulaError, match=message):
+        lm.TermMap.from_dict(_bad_layout(tm.to_dict(), case))
+
+
+def test_term_map_lookups(toy_ds):
+    tm = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2 + z")).term_map
+    assert [tm.indicator_col("g", lv) for lv in "abc"] == [None, 1, 2]
+    assert (tm.linear_col("x"), tm.square_col("x")) == (3, 4)
+    assert (tm.linear_col("z"), tm.square_col("z")) == (5, None)
+    assert tm.indicator_col("x", "b") is None
+    with pytest.raises(KeyError):
+        tm.linear_col("g")
+    # the lookup dict stays out of equality, repr and the serialized form
+    assert lm.TermMap.from_dict(tm.to_dict()) == tm
+    assert "_index" not in repr(tm) and "_index" not in tm.to_dict()
 
 
 def test_unknown_column_transform_rejected(toy_ds):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.special import expit
 
 import logitmargins as lm
-from logitmargins.formula import ColumnRole, TermMap, substitute
+from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
                                 SeparationError, fit, fit_stats, from_json,
                                 log_likelihood, predict, score_and_hessian, to_json)
@@ -223,7 +223,7 @@ def test_predict_monotone_in_positive_coefficient(toy_fit):
     slope = fr.beta[j] + 2 * fr.beta[sq] * base[j]
     rows = []
     for delta in (0.0, 0.1, 0.2):
-        r = substitute(base, design.term_map, "x", float(base[j] + delta))
+        r = substitute_matrix(base, design.term_map, "x", float(base[j] + delta))
         rows.append(r)
     ps = predict(fr, np.array(rows))
     if slope > 0:
@@ -350,6 +350,26 @@ def _mangle(d, field: str):
         d["term_map"]["columns"] = list(range(k))
     elif field == "cube":
         d["term_map"]["columns"][-1]["transform"] = "cube"
+    elif field == "converged_str":
+        d["converged"] = "no"
+    elif field == "converged_int":
+        d["converged"] = 1
+    elif field == "k_float":
+        d["k"] = k + 0.7
+    elif field == "k_bool":
+        d["k"] = True
+    elif field == "n_float":
+        d["n"] = float(d["n"])
+    elif field == "iterations_bool":
+        d["iterations"] = True
+    elif field == "ll_str":
+        d["ll"] = str(d["ll"])
+    elif field == "ll0_bool":
+        d["ll0"] = False
+    elif field == "reference_empty":
+        d["term_map"]["reference"] = {}
+    elif field == "level_null":
+        d["term_map"]["columns"][1]["level"] = None
     return d
 
 
@@ -361,6 +381,13 @@ def _mangle(d, field: str):
     ("top_level_list", "must be an object"), ("term_map_null", "malformed"),
     ("levels_int", "malformed"), ("columns_int", "malformed"),
     ("cube", "unknown column transform 'cube'"),
+    ("converged_str", "'converged' must be a boolean"),
+    ("converged_int", "'converged' must be a boolean"),
+    ("k_float", "'k' must be an integer"), ("k_bool", "'k' must be an integer"),
+    ("n_float", "'n' must be an integer"),
+    ("iterations_bool", "'iterations' must be an integer"),
+    ("ll_str", "'ll' must be a number"), ("ll0_bool", "'ll0' must be a number"),
+    ("reference_empty", "reference levels"), ("level_null", "indicator columns"),
 ])
 def test_model_json_rejects_malformed_fit(toy_fit, field, message):
     fr, _ = toy_fit

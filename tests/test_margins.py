@@ -8,8 +8,8 @@ from scipy.stats import norm
 
 import logitmargins as lm
 from logitmargins.formula import substitute_matrix
-from logitmargins.margins import (MarginsError, bootstrap_se, compute_margins,
-                                  margins_tsv, mean_design_row, zstar)
+from logitmargins.margins import (MarginsError, _compile, _evaluate, bootstrap_se,
+                                  compute_margins, margins_tsv, mean_design_row, zstar)
 from oracles import ToyModel, fd_gradient
 from conftest import kernel_gradient, margin_rows
 
@@ -450,12 +450,19 @@ def test_discrete_change_effect_is_aap_unit_difference(toy_fit):
     assert abs(deriv.estimate - unit.estimate) > 1e-4  # different estimands
 
 
-def test_bootstrap_thread_count_does_not_change_results(corpus2k):
+def test_bootstrap_follows_documented_resample_stream(corpus2k):
+    # replicate b refits on default_rng(child_b).integers(0, n, size=n) over
+    # SeedSequence(seed).spawn(reps), in spawn order; bench/oracle.py relies on it
     fr, design = corpus2k
     req = lm.MarginRequest(kind="aap", target="univ")
-    serial = bootstrap_se(design, req, reps=100, seed=2, workers=1)
-    threaded = bootstrap_se(design, req, reps=100, seed=2, workers=4)
-    assert [r.se for r in serial.rows] == [r.se for r in threaded.rows]
+    got = bootstrap_se(design, req, reps=100, seed=2)
+    est = []
+    for child in np.random.SeedSequence(2).spawn(100):
+        idx = np.random.default_rng(child).integers(0, design.n, size=design.n)
+        rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
+        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
+    assert got.failures == 0 and got.replicates == 100
+    assert [r.se for r in got.rows] == np.std(est, axis=0, ddof=1).tolist()
 
 
 def test_ci_level_changes_width(toy_fit):
