@@ -165,17 +165,15 @@ def _parse_factor_arg(text: str) -> tuple[str, bool, Optional[str]]:
 
 # conventional grids for the corpus variables; any explicit range overrides
 DEFAULT_GRIDS = {"jif": (0.0, 35.0, 1.0), "pages": (1.0, 120.0, 1.0)}
-DEFAULT_GRIDS_BY_LEVEL = {"jif": (0.0, 13.0, 0.5), "pages": (1.0, 25.0, 1.0)}
 MAX_GRID_POINTS = 10_000  # the paper's grids have 27-36 points
 
 
-def _parse_at(text: str, per_level: bool = False) -> tuple[str, tuple[float, ...]]:
+def _parse_at(text: str) -> tuple[str, tuple[float, ...]]:
     var, sep, rng = text.partition("=")
     var = var.strip()
     if not sep:
-        defaults = DEFAULT_GRIDS_BY_LEVEL if per_level else DEFAULT_GRIDS
-        if var in defaults:
-            lo, hi, step = defaults[var]
+        if var in DEFAULT_GRIDS:
+            lo, hi, step = DEFAULT_GRIDS[var]
         else:
             raise mg.MarginsError(f"--at needs VAR=LO:HI:STEP "
                                   f"(no default grid for {var!r})")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,60 +34,43 @@ class ColumnSpec:
 
 
 @dataclass(frozen=True)
-class ContinuousColumn:
+class Column:
+    """One typed column.  Continuous and binary columns hold float64
+    ``values``; a categorical column holds int64 codes into ``levels``."""
+
     name: str
+    kind: str
     values: np.ndarray
-    kind: str = field(default="continuous", init=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def token(self, i: int) -> str:
-        return repr(float(self.values[i]))
-
-
-@dataclass(frozen=True)
-class CategoricalColumn:
-    name: str
-    levels: tuple[str, ...]
-    codes: np.ndarray
-    kind: str = field(default="categorical", init=False)
+    levels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if len(set(self.levels)) != len(self.levels):
-            raise DataError(f"duplicate levels in column {self.name!r}")
-        if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= len(self.levels)):
-            raise DataError(f"categorical codes out of range in column {self.name!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.codes)
-
-    def token(self, i: int) -> str:
-        return self.levels[self.codes[i]]
-
-
-@dataclass(frozen=True)
-class BinaryColumn:
-    name: str
-    values: np.ndarray
-    kind: str = field(default="binary", init=False)
-
-    def __post_init__(self):
-        bad = ~np.isin(self.values, (0.0, 1.0))
-        if bad.any():
+        ColumnSpec(self.name, self.kind, self.levels)  # checks the kind and where levels go
+        if self.kind == "categorical":
+            if self.levels is None or len(set(self.levels)) != len(self.levels):
+                raise DataError(f"missing or duplicate levels in column {self.name!r}")
+            if not np.issubdtype(self.values.dtype, np.integer):
+                raise DataError(f"categorical codes in column {self.name!r} must be integers")
+            if self.values.size and (self.values.min() < 0
+                                     or self.values.max() >= len(self.levels)):
+                raise DataError(f"categorical codes out of range in column {self.name!r}")
+        elif self.kind == "binary" and not np.isin(self.values, (0.0, 1.0)).all():
             raise DataError(f"binary column {self.name!r} contains values other than 0/1")
 
     @property
+    def codes(self) -> np.ndarray:
+        # the categorical codes under their old name, read by bench/oracle.py
+        return self.values
+
+    @property
     def n(self) -> int:
         return len(self.values)
 
     def token(self, i: int) -> str:
-        return str(int(self.values[i]))
-
-
-Column = Union[ContinuousColumn, CategoricalColumn, BinaryColumn]
+        if self.kind == "categorical":
+            return self.levels[self.values[i]]
+        if self.kind == "binary":
+            return str(int(self.values[i]))
+        return repr(float(self.values[i]))
 
 
 @dataclass(frozen=True)
@@ -112,8 +95,7 @@ class Dataset:
         if len(lengths) > 1:
             raise DataError(f"ragged columns: lengths {sorted(lengths)}")
         for c in self.columns:
-            arr = c.codes if isinstance(c, CategoricalColumn) else c.values
-            arr.setflags(write=False)
+            c.values.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -132,17 +114,10 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if self.name != other.name or self.names != other.names:
-            return False
-        for a, b in zip(self.columns, other.columns):
-            if a.kind != b.kind:
-                return False
-            if isinstance(a, CategoricalColumn):
-                if a.levels != b.levels or not np.array_equal(a.codes, b.codes):
-                    return False
-            elif not np.array_equal(a.values, b.values):
-                return False
-        return True
+        return (self.name == other.name and self.names == other.names
+                and all(a.kind == b.kind and a.levels == b.levels
+                        and np.array_equal(a.values, b.values)
+                        for a, b in zip(self.columns, other.columns)))
 
 
 @dataclass(frozen=True)
@@ -241,7 +216,7 @@ def _make_column(spec: ColumnSpec, tokens: list[str]) -> Column:
                 index[t] = len(index)
             codes[i] = index[t]
         levels = tuple(index) if spec.levels is None else tuple(spec.levels)
-        return CategoricalColumn(spec.name, levels, codes)
+        return Column(spec.name, "categorical", codes, levels)
     try:
         values = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:
@@ -254,10 +229,9 @@ def _make_column(spec: ColumnSpec, tokens: list[str]) -> Column:
             i = int(np.argmax(bad_mask))
             raise DataError(
                 f"invalid binary value {tokens[i]!r} in column {spec.name!r}")
-        return BinaryColumn(spec.name, values)
-    if not np.isfinite(values).all():
+    elif not np.isfinite(values).all():
         raise DataError(f"non-finite value in continuous column {spec.name!r}")
-    return ContinuousColumn(spec.name, values)
+    return Column(spec.name, spec.kind, values)
 
 
 def _is_float(token: str) -> bool:
@@ -279,15 +253,7 @@ def to_csv(ds: Dataset, path) -> None:
 
 def schema_of(ds: Dataset) -> list[ColumnSpec]:
     """Schema that reloads this dataset with identical typing and level order."""
-    specs = []
-    for c in ds.columns:
-        if isinstance(c, CategoricalColumn):
-            specs.append(ColumnSpec(c.name, "categorical", levels=c.levels))
-        elif isinstance(c, BinaryColumn):
-            specs.append(ColumnSpec(c.name, "binary"))
-        else:
-            specs.append(ColumnSpec(c.name, "continuous"))
-    return specs
+    return [ColumnSpec(c.name, c.kind, c.levels) for c in ds.columns]
 
 
 def sniff_schema(path) -> list[ColumnSpec]:
@@ -322,13 +288,13 @@ def summarize(ds: Dataset) -> SummaryTable:
         raise DataError("cannot summarize an empty dataset")
     rows: list[SummaryRow] = []
     for c in ds.columns:
-        if isinstance(c, BinaryColumn):
+        if c.kind == "binary":
             pct = 100.0 * float(np.mean(c.values))
             rows.append(SummaryRow(c.name, None, pct, None,
                                    float(c.values.min()), float(c.values.max())))
-        elif isinstance(c, CategoricalColumn):
+        elif c.kind == "categorical":
             for code, level in enumerate(c.levels):
-                share = 100.0 * float(np.mean(c.codes == code))
+                share = 100.0 * float(np.mean(c.values == code))
                 rows.append(SummaryRow(c.name, level, share, None, 0.0, 1.0))
         else:
             mean = float(np.mean(c.values))
@@ -345,26 +311,19 @@ def filter_levels(ds: Dataset, var: str, keep: Sequence[str]) -> Dataset:
     to ``keep``.
     """
     col = ds.column(var)
-    if not isinstance(col, CategoricalColumn):
+    if col.kind != "categorical":
         raise DataError(f"{var!r} is not categorical")
     unknown = [lv for lv in keep if lv not in col.levels]
     if unknown:
         raise DataError(f"unknown level(s) {unknown} for {var!r}")
     kept_levels = tuple(lv for lv in col.levels if lv in set(keep))
     keep_codes = {col.levels.index(lv) for lv in kept_levels}
-    mask = np.isin(col.codes, sorted(keep_codes))
+    mask = np.isin(col.values, sorted(keep_codes))
     if not mask.any():
         raise DataError(f"no rows left after filtering {var!r}")
     recode = {col.levels.index(lv): i for i, lv in enumerate(kept_levels)}
-    new_cols: list[Column] = []
-    for c in ds.columns:
-        if c.name == var:
-            codes = np.array([recode[int(k)] for k in col.codes[mask]], dtype=np.int64)
-            new_cols.append(CategoricalColumn(c.name, kept_levels, codes))
-        elif isinstance(c, CategoricalColumn):
-            new_cols.append(CategoricalColumn(c.name, c.levels, c.codes[mask].copy()))
-        elif isinstance(c, BinaryColumn):
-            new_cols.append(BinaryColumn(c.name, c.values[mask].copy()))
-        else:
-            new_cols.append(ContinuousColumn(c.name, c.values[mask].copy()))
+    codes = np.array([recode[int(k)] for k in col.values[mask]], dtype=np.int64)
+    new_cols = [Column(var, c.kind, codes, kept_levels) if c.name == var
+                else Column(c.name, c.kind, c.values[mask].copy(), c.levels)
+                for c in ds.columns]
     return Dataset(name=ds.name, columns=tuple(new_cols))

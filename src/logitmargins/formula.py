@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import BinaryColumn, CategoricalColumn, ContinuousColumn, Dataset
+from .dataset import Dataset
 
 
 class FormulaError(ValueError):
@@ -315,7 +315,7 @@ def build_design(
                                "a factor term of the formula")
 
     resp_col = ds.column(spec.response)
-    if not isinstance(resp_col, BinaryColumn):
+    if resp_col.kind != "binary":
         raise FormulaError(f"response {spec.response!r} must be a binary column")
     y = resp_col.values.astype(np.float64)
 
@@ -328,20 +328,20 @@ def build_design(
     for term in spec.terms:
         col = ds.column(term.var)
         if isinstance(term, Factor):
-            if not isinstance(col, CategoricalColumn):
+            if col.kind != "categorical":
                 raise FormulaError(
                     f"C({term.var}) requires a categorical column, got {col.kind}")
             lv = levels.get(term.var, col.levels)
             missing = [l for l in lv if l not in col.levels]
             if missing:
                 raise FormulaError(f"declared level(s) {missing} absent from {term.var!r}")
-            observed = {col.levels[c] for c in np.unique(col.codes)}
+            observed = {col.levels[c] for c in np.unique(col.values)}
             if len(observed) < 2:
                 raise FormulaError(f"factor {term.var!r} has fewer than 2 observed levels")
             ref = reference.get(term.var, lv[0])
             if ref not in lv:
                 raise FormulaError(f"reference level {ref!r} unknown for {term.var!r}")
-            level_of_row = np.array(col.levels, dtype=object)[col.codes]
+            level_of_row = np.array(col.levels, dtype=object)[col.values]
             for level in lv:
                 if level == ref:
                     continue
@@ -350,13 +350,13 @@ def build_design(
             refmap[term.var] = ref
             levmap[term.var] = tuple(lv)
         elif isinstance(term, Linear):
-            if isinstance(col, CategoricalColumn):
+            if col.kind == "categorical":
                 raise FormulaError(
                     f"categorical column {term.var!r} must be wrapped in C()")
             roles.append(ColumnRole(term.var, IDENTITY))
             cols.append(col.values.astype(np.float64))
         else:  # Power
-            if not isinstance(col, ContinuousColumn):
+            if col.kind != "continuous":
                 raise FormulaError(f"squared term needs a continuous column, got {col.kind}")
             roles.append(ColumnRole(term.var, SQUARE))
             cols.append(col.values.astype(np.float64) ** 2)

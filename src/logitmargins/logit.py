@@ -317,9 +317,10 @@ def from_json(text: str) -> tuple[FitResult, str]:
 
     Raises ``ValueError`` for a field of the wrong type (``converged`` must
     be a JSON boolean, ``k``, ``n`` and ``iterations`` integers, ``ll`` and
-    ``ll0`` numbers), for a term map whose columns disagree with its factors,
-    and unless ``beta`` has one entry per term-map column and ``cov`` is a
-    finite, symmetric k x k matrix with a positive diagonal.
+    ``ll0`` finite numbers), unless ``n > k`` and ``iterations >= 0``, for
+    a term map whose columns disagree with its factors, and unless ``beta``
+    has one entry per term-map column and ``cov`` is a finite, symmetric
+    k x k matrix with a positive diagonal.
     """
     d = json.loads(text)
     if not isinstance(d, dict) or not isinstance(d.get("formula"), str):
@@ -341,6 +342,12 @@ def from_json(text: str) -> tuple[FitResult, str]:
             converged=_typed(d, "converged", bool, "a boolean"),
             term_map=tm,
         )
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from None
+    if not (math.isfinite(fr.ll) and math.isfinite(fr.ll0)):
+        raise ValueError(f"malformed model JSON: 'll' and 'll0' must be finite, "
+                         f"got {fr.ll!r} and {fr.ll0!r}")
+    if not (fr.n > fr.k and fr.iterations >= 0):
+        raise ValueError(f"malformed model JSON: needs n > k and iterations >= 0, got "
+                         f"n={fr.n}, k={fr.k}, iterations={fr.iterations}")
     return fr, d["formula"]

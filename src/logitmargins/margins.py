@@ -377,7 +377,7 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         try:
             fr = fit(Xb, design.y[idx], term_map=design.term_map)
             kept.append(_evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0])
-        except (FitError, MarginsError):
+        except FitError:
             pass
         # free the resample before the next one is drawn: with two alive,
         # each n x k copy is a fresh mmap that page-faults in

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import (BinaryColumn, CategoricalColumn, Column, ContinuousColumn,
-                      Dataset)
+from .dataset import Column, Dataset
 from .formula import build_design, parse_formula
 from .logit import FitResult, fit
 
@@ -146,11 +145,11 @@ def generate(cfg: SynthConfig) -> Dataset:
     for var, cspec in cfg.continuous.items():
         cont_cols[var] = _draw_continuous(rng, cspec, n, factor_cols)
 
-    columns: list[Column] = [BinaryColumn(spec.response, np.zeros(n))]
+    columns = [Column(spec.response, "binary", np.zeros(n))]
     for var, (levels, codes) in factor_cols.items():
-        columns.append(CategoricalColumn(var, levels, codes))
+        columns.append(Column(var, "categorical", codes, levels))
     for var, vals in cont_cols.items():
-        columns.append(ContinuousColumn(var, vals))
+        columns.append(Column(var, "continuous", vals))
     shell = Dataset(name=cfg.name, columns=tuple(columns))
 
     design = build_design(shell, spec)
@@ -165,7 +164,7 @@ def generate(cfg: SynthConfig) -> Dataset:
     p = expit(design.X @ beta)
     y = (rng.random(n) < p).astype(np.float64)
 
-    final = [BinaryColumn(spec.response, y)] + list(columns[1:])
+    final = [Column(spec.response, "binary", y)] + columns[1:]
     return Dataset(name=cfg.name, columns=tuple(final))
 
 

@@ -37,8 +37,7 @@ def kernel_gradient(fr, design, request) -> np.ndarray:
 
 def toy_dataset() -> lm.Dataset:
     """16 rows, one 3-level factor, one squared continuous, one plain."""
-    from logitmargins.dataset import (BinaryColumn, CategoricalColumn,
-                                      ContinuousColumn)
+    from logitmargins.dataset import Column
     g = ["a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "c", "a", "b", "a", "c"]
     x = [0.5, 1.0, 2.0, 3.0, 1.5, 0.8, 2.5, 0.2, 1.1, 2.2, 0.9, 1.7, 3.1, 0.4, 1.9, 2.8]
     z = [1.0, -1.0, 0.5, 2.0, 0.0, 1.5, -0.5, 1.0, 2.5, 0.3, -1.2, 0.8, 1.1, 2.2, -0.7, 0.6]
@@ -46,10 +45,10 @@ def toy_dataset() -> lm.Dataset:
     levels = ("a", "b", "c")
     codes = np.array([levels.index(v) for v in g], dtype=np.int64)
     return lm.Dataset(name="toy", columns=(
-        BinaryColumn("y", np.array(y, dtype=np.float64)),
-        CategoricalColumn("g", levels, codes),
-        ContinuousColumn("x", np.array(x)),
-        ContinuousColumn("z", np.array(z)),
+        Column("y", "binary", np.array(y, dtype=np.float64)),
+        Column("g", "categorical", codes, levels),
+        Column("x", "continuous", np.array(x)),
+        Column("z", "continuous", np.array(z)),
     ))
 
 

@@ -174,7 +174,7 @@ def test_c05_gradient_oracles(toy_fit):
 def test_c06_brute_force_margins_oracle(toy_fit, toy_fit_bystander):
     toy_ds = toy_dataset()
     g = toy_ds.column("g")
-    raw = {"g": [g.levels[c] for c in g.codes],
+    raw = {"g": [g.levels[c] for c in g.values],
            "x": list(toy_ds.column("x").values),
            "z": list(toy_ds.column("z").values)}
     worst = 0.0

@@ -152,6 +152,18 @@ def test_margins_curve_grid_and_plot(workspace):
         assert float(c[3]) == float(t[6]) and float(c[4]) == float(t[7])
 
 
+def test_margins_bare_at_uses_default_grid(workspace, tmp_path):
+    # `--at jif` without a range is the documented jif=0:35:1 grid
+    tables = []
+    for i, at in enumerate(("jif", "jif=0:35:1")):
+        out = tmp_path / f"{i}.tsv"
+        r = run_cli("margins", "--model", str(workspace / "m.json"),
+                    "--data", str(workspace / "s.csv"), "--at", at, "--table", str(out))
+        assert r.returncode == 0, r.stderr
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_margins_aprv_four_curves(workspace):
     r = run_cli("margins", "--model", str(workspace / "m.json"),
                 "--data", str(workspace / "s.csv"), "--over", "C(univ)",
@@ -247,11 +259,11 @@ def test_malformed_model_json_exits_1(workspace, tmp_path):
     assert "cannot read model" in r.stderr and "symmetric" in r.stderr
 
 
-# a field of the wrong type, a term map whose columns disagree with its
-# factors, and a term map that loads but differs from the one its formula
-# builds on the data, each give one error line
+# a field of the wrong type or an impossible value, a term map whose columns
+# disagree with its factors, and a term map that loads but differs from the
+# one its formula builds on the data, each give one error line
 @pytest.mark.parametrize("case", ["k_null", "renamed_column", "converged_str",
-                                  "reference_empty", "level_null"])
+                                  "reference_empty", "level_null", "n_negative"])
 def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
     d = json.loads((workspace / "m.json").read_text())
     if case == "k_null":
@@ -262,6 +274,8 @@ def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
         d["term_map"]["reference"] = {}
     elif case == "level_null":
         d["term_map"]["columns"][1]["level"] = None
+    elif case == "n_negative":
+        d["n"] = -5
     else:
         d["term_map"]["columns"][-1]["source"] = "jif"
     bad = tmp_path / "bad.json"

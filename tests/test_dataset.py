@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import logitmargins as lm
-from logitmargins.dataset import CategoricalColumn, DataError
+from logitmargins.dataset import KINDS, Column, DataError
 
 SCHEMA = [("top10", "binary"), ("univ", "categorical"), ("jif", "continuous")]
 
@@ -72,22 +76,19 @@ def test_declared_levels_pin_order_and_reject_unknown(tmp_path):
 
 
 def test_summarize_binary_percentage():
-    from logitmargins.dataset import BinaryColumn
-    ds = lm.Dataset("b", (BinaryColumn("y", np.array([1, 0, 0, 0, 1.0])),))
+    ds = lm.Dataset("b", (Column("y", "binary", np.array([1, 0, 0, 0, 1.0])),))
     row = lm.summarize(ds).rows[0]
     assert row.value == pytest.approx(40.0)
 
 
 def test_summarize_continuous_moments():
-    from logitmargins.dataset import ContinuousColumn
-    ds = lm.Dataset("c", (ContinuousColumn("x", np.array([1.0, 2.0, 3.0])),))
+    ds = lm.Dataset("c", (Column("x", "continuous", np.array([1.0, 2.0, 3.0])),))
     row = lm.summarize(ds).rows[0]
     assert (row.value, row.sd, row.vmin, row.vmax) == (2.0, 1.0, 1.0, 3.0)
 
 
 def test_summarize_single_row_has_no_sd():
-    from logitmargins.dataset import ContinuousColumn
-    ds = lm.Dataset("c", (ContinuousColumn("x", np.array([4.2])),))
+    ds = lm.Dataset("c", (Column("x", "continuous", np.array([4.2])),))
     assert lm.summarize(ds).rows[0].sd is None
 
 
@@ -99,12 +100,8 @@ def test_categorical_percentages_sum_to_100(toy_ds):
 
 def test_summarize_permutation_invariant(toy_ds, tmp_path):
     perm = np.random.default_rng(5).permutation(toy_ds.n_rows)
-    cols = []
-    for c in toy_ds.columns:
-        if isinstance(c, CategoricalColumn):
-            cols.append(CategoricalColumn(c.name, c.levels, c.codes[perm].copy()))
-        else:
-            cols.append(type(c)(c.name, c.values[perm].copy()))
+    cols = [Column(c.name, c.kind, c.values[perm].copy(), c.levels)
+            for c in toy_ds.columns]
     shuffled = lm.Dataset("toy", tuple(cols))
     a = lm.summarize(toy_ds).rows
     b = lm.summarize(shuffled).rows
@@ -120,10 +117,62 @@ def test_csv_round_trip(toy_ds, tmp_path):
     assert back == toy_ds
 
 
+# level tokens survive the CSV unchanged: no surrounding blanks, never a
+# missing token; commas and quotes exercise the writer's quoting
+LEVEL = st.text(alphabet='ab ,"', min_size=1, max_size=4).filter(
+    lambda t: t == t.strip())
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.permutations(KINDS)) + draw(st.lists(st.sampled_from(KINDS),
+                                                         max_size=2))
+    cols = []
+    for j, kind in enumerate(kinds):
+        if kind == "categorical":
+            pool = draw(st.lists(LEVEL, min_size=1, max_size=3, unique=True))
+            tokens = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            levels = tuple(dict.fromkeys(tokens))  # first-appearance order
+            codes = np.array([levels.index(t) for t in tokens], dtype=np.int64)
+            cols.append(Column(f"c{j}", kind, codes, levels))
+        else:
+            values = (st.sampled_from((0.0, 1.0)) if kind == "binary"
+                      else st.floats(allow_nan=False, allow_infinity=False))
+            cols.append(Column(f"c{j}", kind, np.array(
+                draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)))
+    return lm.Dataset("prop", tuple(cols))
+
+
+@given(ds=datasets())
+def test_csv_round_trip_any_dataset(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        lm.to_csv(ds, path)
+        assert lm.load_csv(path, lm.schema_of(ds), name="prop") == ds
+
+
+@pytest.mark.parametrize("kind, values, levels, message", [
+    ("interval", [1.0], None, "unknown column kind"),
+    ("continuous", [1.0], ("a",), "levels given for non-categorical"),
+    ("binary", [1.0], ("a",), "levels given for non-categorical"),
+    ("categorical", [0], ("a", "a"), "duplicate levels"),
+    ("categorical", [0], None, "missing or duplicate levels"),
+    ("categorical", [0, 2], ("a", "b"), "codes out of range"),
+    ("categorical", [-1], ("a", "b"), "codes out of range"),
+    ("categorical", [0.0, 1.0], ("a", "b"), "must be integers"),
+    ("binary", [0.0, 0.5], None, "other than 0/1"),
+    ("binary", [float("nan")], None, "other than 0/1"),
+])
+def test_invalid_column_raises(kind, values, levels, message):
+    with pytest.raises(DataError, match=message):
+        Column("c", kind, np.array(values), levels)
+
+
 def test_filter_levels(toy_ds):
     kept = lm.filter_levels(toy_ds, "g", ["a", "c"])
     assert kept.column("g").levels == ("a", "c")
-    assert kept.n_rows == sum(1 for lv in toy_ds.column("g").codes if lv != 1)
+    assert kept.n_rows == sum(1 for lv in toy_ds.column("g").values if lv != 1)
     with pytest.raises(DataError, match="unknown level"):
         lm.filter_levels(toy_ds, "g", ["nope"])
     with pytest.raises(DataError, match="not categorical"):
@@ -142,5 +191,5 @@ def test_synthetic_university_shares_near_targets(corpus15k):
     univ = ds.column("univ")
     targets = {"univ1": 7.4, "univ2": 3.3, "univ3": 55.4, "univ4": 33.9}
     for level, pct in targets.items():
-        share = 100.0 * np.mean(univ.codes == univ.levels.index(level))
+        share = 100.0 * np.mean(univ.values == univ.levels.index(level))
         assert abs(share - pct) <= 1.5, (level, share)

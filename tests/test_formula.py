@@ -154,7 +154,7 @@ def test_design_matches_naive_row_evaluator(toy_ds):
     oracle = ToyModel(
         factors={"g": ("b", "c")},
         continuous={"x": True},
-        raw={"g": [g.levels[c] for c in g.codes],
+        raw={"g": [g.levels[c] for c in g.values],
              "x": list(toy_ds.column("x").values)},
     )
     for i in range(design.n):

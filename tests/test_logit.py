@@ -305,7 +305,7 @@ ROUND_TRIP_TERMS = TermMap(
 @given(beta=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5,
                      max_size=5),
        a=st.lists(st.floats(-1e3, 1e3), min_size=25, max_size=25),
-       ll=st.floats(-1e6, 0.0), n=st.integers(1, 10**6))
+       ll=st.floats(-1e6, 0.0), n=st.integers(6, 10**6))
 def test_model_json_round_trip_is_byte_exact(beta, a, ll, n):
     A = np.array(a).reshape(5, 5)
     C = A @ A.T + 1e-3 * np.eye(5)
@@ -370,6 +370,16 @@ def _mangle(d, field: str):
         d["term_map"]["reference"] = {}
     elif field == "level_null":
         d["term_map"]["columns"][1]["level"] = None
+    elif field == "ll_nan":
+        d["ll"] = float("nan")
+    elif field == "ll0_inf":
+        d["ll0"] = float("inf")
+    elif field == "ll_huge":
+        d["ll"] = -10**400
+    elif field in ("n_negative", "n_zero", "n_k"):
+        d["n"] = {"n_negative": -5, "n_zero": 0, "n_k": k}[field]
+    elif field == "iterations_negative":
+        d["iterations"] = -3
     return d
 
 
@@ -388,6 +398,9 @@ def _mangle(d, field: str):
     ("iterations_bool", "'iterations' must be an integer"),
     ("ll_str", "'ll' must be a number"), ("ll0_bool", "'ll0' must be a number"),
     ("reference_empty", "reference levels"), ("level_null", "indicator columns"),
+    ("ll_nan", "must be finite"), ("ll0_inf", "must be finite"),
+    ("ll_huge", "malformed"), ("n_negative", "n > k"), ("n_zero", "n > k"),
+    ("n_k", "n > k"), ("iterations_negative", "iterations >= 0"),
 ])
 def test_model_json_rejects_malformed_fit(toy_fit, field, message):
     fr, _ = toy_fit

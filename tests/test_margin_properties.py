@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 import logitmargins as lm
-from logitmargins.dataset import BinaryColumn, CategoricalColumn, ContinuousColumn
+from logitmargins.dataset import Column
 from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
 from oracles import ToyModel, fd_gradient
 
@@ -41,8 +41,9 @@ def cases(draw):
     x = rng.uniform(-2.0, 3.0, n)
     z = rng.normal(size=n)
     y = (rng.random(n) < 0.5).astype(np.float64)
-    ds = lm.Dataset("prop", (BinaryColumn("y", y), CategoricalColumn("g", levels, codes),
-                             ContinuousColumn("x", x), ContinuousColumn("z", z)))
+    ds = lm.Dataset("prop", (Column("y", "binary", y),
+                             Column("g", "categorical", codes, levels),
+                             Column("x", "continuous", x), Column("z", "continuous", z)))
     design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x + x^2 + z"))
     k = design.k
     beta = rng.normal(scale=0.8, size=k)

@@ -7,6 +7,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 import logitmargins as lm
+from logitmargins.dataset import Column
 from logitmargins.formula import substitute_matrix
 from logitmargins.margins import (MarginsError, _compile, _evaluate, bootstrap_se,
                                   compute_margins, margins_tsv, mean_design_row, zstar)
@@ -18,7 +19,7 @@ TOL = 1e-12
 
 def toy_oracle(toy_ds, with_square: bool) -> ToyModel:
     g = toy_ds.column("g")
-    raw = {"g": [g.levels[c] for c in g.codes],
+    raw = {"g": [g.levels[c] for c in g.values],
            "x": list(toy_ds.column("x").values),
            "z": list(toy_ds.column("z").values)}
     if with_square:
@@ -265,7 +266,7 @@ def test_mean_row_uses_fractional_indicators(toy_fit, toy_ds):
     tm = fr.term_map
     row = mean_design_row(design, tm)
     g = toy_ds.column("g")
-    share_b = float(np.mean([g.levels[c] == "b" for c in g.codes]))
+    share_b = float(np.mean([g.levels[c] == "b" for c in g.values]))
     assert row[tm.indicator_col("g", "b")] == pytest.approx(share_b, abs=1e-15)
     m = float(toy_ds.column("x").values.mean())
     assert row[tm.linear_col("x")] == pytest.approx(m, abs=1e-15)
@@ -284,14 +285,13 @@ def test_apm_equals_logistic_at_mean_for_linear_model(toy_ds):
 def test_apm_differs_from_aap_on_skewed_data():
     # a heavily skewed bystander covariate stays at observed values in the
     # AAP but collapses to its mean in the APM, opening a Jensen gap
-    from logitmargins.dataset import BinaryColumn, ContinuousColumn
     rng = np.random.default_rng(99)
     n = 400
     x = rng.normal(size=n)
     z = np.exp(rng.normal(0.0, 1.3, size=n)) * 2.0
     y = (rng.random(n) < expit(-2.5 + 0.3 * x + 0.8 * z)).astype(float)
-    ds = lm.Dataset("skew", (BinaryColumn("y", y), ContinuousColumn("x", x),
-                             ContinuousColumn("z", z)))
+    ds = lm.Dataset("skew", (Column("y", "binary", y), Column("x", "continuous", x),
+                             Column("z", "continuous", z)))
     design = lm.build_design(ds, lm.parse_formula("y ~ x + z"))
     fr = lm.fit(design)
     v = 0.0
@@ -402,12 +402,11 @@ def test_bootstrap_needs_100_reps(corpus2k):
 def test_bootstrap_se_of_constant_margin_is_binomial():
     # outcome independent of x: the AAP at x-bar is just the resampled mean,
     # so its bootstrap sd should track the binomial proportion error
-    from logitmargins.dataset import BinaryColumn, ContinuousColumn
     rng = np.random.default_rng(31)
     n = 1500
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.3).astype(float)
-    ds = lm.Dataset("flat", (BinaryColumn("y", y), ContinuousColumn("x", x)))
+    ds = lm.Dataset("flat", (Column("y", "binary", y), Column("x", "continuous", x)))
     design = lm.build_design(ds, lm.parse_formula("y ~ x"))
     xbar = float(x.mean())
     res = bootstrap_se(design, lm.MarginRequest(kind="aap", target="x",
@@ -421,7 +420,6 @@ def test_bootstrap_se_of_constant_margin_is_binomial():
 def test_bootstrap_failure_ceiling():
     # a level observed once disappears from ~37% of resamples, so the
     # rank-deficient refits blow past the 10% failure budget
-    from logitmargins.dataset import BinaryColumn, CategoricalColumn, ContinuousColumn
     rng = np.random.default_rng(13)
     n = 60
     codes = np.zeros(n, dtype=np.int64)
@@ -429,9 +427,9 @@ def test_bootstrap_failure_ceiling():
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
     ds = lm.Dataset("rare", (
-        BinaryColumn("y", y),
-        CategoricalColumn("g", ("common", "rare"), codes),
-        ContinuousColumn("x", x)))
+        Column("y", "binary", y),
+        Column("g", "categorical", codes, ("common", "rare")),
+        Column("x", "continuous", x)))
     design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x"))
     with pytest.raises(MarginsError, match="replicates failed"):
         bootstrap_se(design, lm.MarginRequest(kind="aap", target="g"),
@@ -448,6 +446,35 @@ def test_discrete_change_effect_is_aap_unit_difference(toy_fit):
     deriv, = margin_rows(fr, design, "ame", "x", at=("x", (0.5,)))
     unit, = margin_rows(fr, design, "ame", "x", at=("x", (0.5,)), discrete=True)
     assert abs(deriv.estimate - unit.estimate) > 1e-4  # different estimands
+
+
+def test_bootstrap_skips_failed_replicates_under_the_ceiling():
+    # a level seen in 3 of 60 rows drops out of about 5% of resamples: those
+    # rank-deficient refits are counted and skipped, and the SEs come from
+    # the surviving replicates of the documented stream
+    rng = np.random.default_rng(0)
+    n = 60
+    codes = np.zeros(n, dtype=np.int64)
+    codes[:3] = 1
+    x = rng.normal(size=n)
+    y = (rng.random(n) < 0.4).astype(float)
+    ds = lm.Dataset("rare", (
+        Column("y", "binary", y),
+        Column("g", "categorical", codes, ("common", "rare")),
+        Column("x", "continuous", x)))
+    design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x"))
+    req = lm.MarginRequest(kind="aap", target="g")
+    got = bootstrap_se(design, req, reps=100, seed=0)
+    est = []
+    for child in np.random.SeedSequence(0).spawn(100):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        try:
+            rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
+        except lm.FitError:
+            continue
+        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
+    assert 0 < got.failures <= 10 and got.failures == 100 - len(est)
+    assert [r.se for r in got.rows] == np.std(est, axis=0, ddof=1).tolist()
 
 
 def test_bootstrap_follows_documented_resample_stream(corpus2k):

@@ -37,7 +37,7 @@ def test_generator_reference_vectors():
 def test_first_rows_frozen():
     ds = generate(default_config(5, 42))
     univ = ds.column("univ")
-    assert [univ.levels[c] for c in univ.codes] == [
+    assert [univ.levels[c] for c in univ.values] == [
         "univ4", "univ3", "univ4", "univ4", "univ2"]
     jif = ds.column("jif")
     assert jif.values[0] == pytest.approx(1.3161169306607599, abs=1e-12)
@@ -71,7 +71,7 @@ def test_factor_shares_converge_to_targets():
                                       "natsci": 0.779})):
         col = ds.column(var)
         for level, target in targets.items():
-            share = float(np.mean(col.codes == col.levels.index(level)))
+            share = float(np.mean(col.values == col.levels.index(level)))
             assert abs(share - target) <= 0.002, (var, level, share)
 
 
@@ -146,7 +146,7 @@ def test_correlated_mode_shifts_university_means():
     ds = generate(cfg)
     univ = ds.column("univ")
     jif = ds.column("jif").values
-    means = {lv: float(jif[univ.codes == univ.levels.index(lv)].mean())
+    means = {lv: float(jif[univ.values == univ.levels.index(lv)].mean())
              for lv in univ.levels}
     assert means["univ1"] > means["univ4"] > means["univ3"]
     assert means["univ3"] == pytest.approx(3.2, abs=0.15)
