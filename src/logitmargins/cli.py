@@ -17,7 +17,7 @@ from . import logit as logit_mod
 from . import margins as mg
 from . import synth as synth_mod
 from .dataset import ColumnSpec, DataError
-from .formula import FormulaError, Factor, Linear, Power, build_design, parse_formula
+from .formula import INDICATOR, FormulaError, build_design, parse_formula
 from .svgplot import PlotSpec, Series, render
 
 
@@ -52,33 +52,23 @@ def _parse_schema_arg(text: str) -> list[ColumnSpec]:
     return specs
 
 
-def _schema_from_formula(spec) -> list[ColumnSpec]:
+def _schema_from_formula(spec, levels=None) -> list[ColumnSpec]:
+    """The columns a formula reads; ``levels`` pins the level order of its factors."""
     out = [ColumnSpec(spec.response, "binary")]
     seen = {spec.response}
     for term in spec.terms:
         if term.var in seen:
             continue
         seen.add(term.var)
-        kind = "categorical" if isinstance(term, Factor) else "continuous"
-        out.append(ColumnSpec(term.var, kind))
+        if term.transform == INDICATOR:
+            out.append(ColumnSpec(term.var, "categorical", (levels or {}).get(term.var)))
+        else:
+            out.append(ColumnSpec(term.var, "continuous"))
     return out
 
 
-def _load_data(args, model_spec=None, term_map=None):
-    if getattr(args, "schema", None):
-        schema = _parse_schema_arg(args.schema)
-    elif model_spec is not None:
-        schema = _schema_from_formula(model_spec)
-        if term_map is not None:
-            # pin level order from the stored model so dummy coding matches
-            schema = [
-                ColumnSpec(s.name, s.kind, levels=term_map.factor_levels.get(s.name))
-                if s.kind == "categorical" else s
-                for s in schema
-            ]
-    else:
-        schema = ds_mod.sniff_schema(args.data)
-    ds = ds_mod.load_csv(args.data, schema)
+def _load_data(path, schema):
+    ds = ds_mod.load_csv(path, schema)
     if ds.n_dropped:
         print(f"note: dropped {ds.n_dropped} row(s) with missing values",
               file=sys.stderr)
@@ -112,7 +102,8 @@ def cmd_fit(args) -> int:
         _caret(args.model, exc)
         return 2
     try:
-        ds = _load_data(args, model_spec=spec)
+        schema = _parse_schema_arg(args.schema) if args.schema else _schema_from_formula(spec)
+        ds = _load_data(args.data, schema)
         design = build_design(ds, spec, reference=_parse_refs(args.ref))
         fr = logit_mod.fit(design, max_iter=args.max_iter, tol=args.tol)
         stats = logit_mod.fit_stats(fr)
@@ -143,7 +134,7 @@ def cmd_fit(args) -> int:
 
 def _parse_factor_arg(text: str) -> tuple[str, bool, Optional[str]]:
     """'C(univ)' -> (univ, True, None); 'C(univ),u2' -> (univ, True, 'u2');
-    'jif' -> (jif, False, None)."""
+    'jif' -> (jif, False, None).  Only a factor target takes a ',BASE'."""
     base = None
     body = text.strip()
     if body.startswith("C(") or body.startswith("c("):
@@ -158,8 +149,7 @@ def _parse_factor_arg(text: str) -> tuple[str, bool, Optional[str]]:
             raise mg.MarginsError(f"trailing text {rest!r} after C({var})")
         return var, True, base
     if "," in body:
-        var, _, base = body.partition(",")
-        return var.strip(), False, base.strip()
+        raise mg.MarginsError(f"{text!r}: a ,BASE level needs a factor target C(...)")
     return body, False, None
 
 
@@ -199,7 +189,7 @@ def _parse_at(text: str) -> tuple[str, tuple[float, ...]]:
     return var, grid
 
 
-def _build_requests(args, term_map) -> list[mg.MarginRequest]:
+def _build_requests(args) -> list[mg.MarginRequest]:
     """Translate margins flags into requests; see README for valid combinations."""
     n_main = sum(1 for f in (args.aap, args.ame) if f)
     at = _parse_at(args.at) if args.at else None
@@ -219,17 +209,19 @@ def _build_requests(args, term_map) -> list[mg.MarginRequest]:
         var, is_factor, base = _parse_factor_arg(args.over)
         if not is_factor:
             raise mg.MarginsError("--over takes a factor, e.g. --over C(univ)")
+        if base is not None and not args.dydx:
+            raise mg.MarginsError("--over C(...),BASE needs --dydx: predictions have no base")
         return [mg.MarginRequest(kind=kind(not args.dydx), target=var, base=base,
                                  at=at, ci_level=ci)]
     if args.aap:
         if args.ame:
             raise mg.MarginsError("--aap and --ame are mutually exclusive")
-        var, is_factor, _ = _parse_factor_arg(args.aap)
+        var, is_factor, base = _parse_factor_arg(args.aap)
         if is_factor:
             if at is not None:
                 raise mg.MarginsError("use --over C(...) --at ... for APRV curves")
             return [mg.MarginRequest(kind=kind(True), target=var, ci_level=ci),
-                    mg.MarginRequest(kind=kind(False), target=var, ci_level=ci)]
+                    mg.MarginRequest(kind=kind(False), target=var, base=base, ci_level=ci)]
         if at is None or at[0] != var:
             raise mg.MarginsError(f"--aap {var} needs --at {var}=LO:HI:STEP")
         return [mg.MarginRequest(kind=kind(True), target=var, at=at, ci_level=ci)]
@@ -304,13 +296,13 @@ def cmd_margins(args) -> int:
         _caret(formula_text, exc)
         return 2
     try:
-        ds = _load_data(args, model_spec=spec, term_map=fr.term_map)
-        design = build_design(ds, spec, reference=fr.term_map.reference,
-                              levels=fr.term_map.factor_levels)
+        # the stored level order pins the dummy coding; an unseen level is an error
+        ds = _load_data(args.data, _schema_from_formula(spec, fr.term_map.factor_levels))
+        design = build_design(ds, spec, reference=fr.term_map.reference)
         if design.term_map != fr.term_map:
             raise FormulaError(f"the term map in {args.model} does not match "
                                "its formula")
-        requests = _build_requests(args, fr.term_map)
+        requests = _build_requests(args)
         rows = []
         for req in requests:
             if args.vce == "bootstrap":
@@ -351,7 +343,8 @@ def cmd_margins(args) -> int:
 
 def cmd_summarize(args) -> int:
     try:
-        ds = _load_data(args)
+        ds = _load_data(args.data, _parse_schema_arg(args.schema) if args.schema
+                        else ds_mod.sniff_schema(args.data))
         table = ds_mod.summarize(ds)
     except DataError as exc:
         _err(str(exc))
@@ -403,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("margins", help="adjusted predictions and marginal effects")
     p.add_argument("--model", required=True, help="model JSON from `fit`")
     p.add_argument("--data", required=True)
-    p.add_argument("--schema")
     p.add_argument("--aap", metavar="TARGET", help="adjusted predictions: C(factor) "
                    "for a discrete block, or a continuous var with --at")
     p.add_argument("--ame", metavar="TARGET[,BASE]", help="marginal effects")

@@ -18,6 +18,14 @@ class DataError(ValueError):
     """Raised for unreadable, malformed, or contract-violating input data."""
 
 
+def readonly_copy(a) -> np.ndarray:
+    """A read-only copy of ``a``, so the caller's array stays writable and a
+    later write to it leaves the object that stored the copy unchanged."""
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Declared name and kind of one column, with optional fixed level order."""
@@ -44,6 +52,7 @@ class Column:
     levels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "values", readonly_copy(self.values))
         ColumnSpec(self.name, self.kind, self.levels)  # checks the kind and where levels go
         if self.kind == "categorical":
             if self.levels is None or len(set(self.levels)) != len(self.levels):
@@ -94,8 +103,6 @@ class Dataset:
         lengths = {c.n for c in self.columns}
         if len(lengths) > 1:
             raise DataError(f"ragged columns: lengths {sorted(lengths)}")
-        for c in self.columns:
-            c.values.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
@@ -324,6 +331,6 @@ def filter_levels(ds: Dataset, var: str, keep: Sequence[str]) -> Dataset:
     recode = {col.levels.index(lv): i for i, lv in enumerate(kept_levels)}
     codes = np.array([recode[int(k)] for k in col.values[mask]], dtype=np.int64)
     new_cols = [Column(var, c.kind, codes, kept_levels) if c.name == var
-                else Column(c.name, c.kind, c.values[mask].copy(), c.levels)
+                else Column(c.name, c.kind, c.values[mask], c.levels)
                 for c in ds.columns]
     return Dataset(name=ds.name, columns=tuple(new_cols))

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, readonly_copy
 
 
 class FormulaError(ValueError):
@@ -29,23 +29,24 @@ class FormulaError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Factor:
-    var: str
+# design-column transforms; a formula term has one of the last three
+INTERCEPT = "intercept"
+INDICATOR = "indicator"
+IDENTITY = "identity"
+SQUARE = "square"
+TRANSFORMS = (INTERCEPT, INDICATOR, IDENTITY, SQUARE)
 
 
 @dataclass(frozen=True)
-class Linear:
+class Term:
+    """One formula term: ``C(var)`` is INDICATOR, ``var`` IDENTITY, ``var^2`` SQUARE."""
+
     var: str
+    transform: str
 
-
-@dataclass(frozen=True)
-class Power:
-    var: str
-    exponent: int = 2
-
-
-Term = Union[Factor, Linear, Power]
+    def __post_init__(self):
+        if self.transform not in (INDICATOR, IDENTITY, SQUARE):
+            raise FormulaError(f"unknown term transform {self.transform!r}")
 
 
 @dataclass(frozen=True)
@@ -114,15 +115,15 @@ class _Parser:
             self.i += 1
             var, _ = self.take("ident")
             self.take("op", ")")
-            return Factor(var), pos
+            return Term(var, INDICATOR), pos
         if tk == "op" and tv == "^":
             self.i += 1
             num, npos = self.take("num")
             if int(num) != 2:
                 raise FormulaError(f"unsupported exponent {num} at position {npos}"
                                    " (only ^2 is supported)", npos)
-            return Power(name, 2), pos
-        return Linear(name), pos
+            return Term(name, SQUARE), pos
+        return Term(name, IDENTITY), pos
 
 
 def _validated(text: str, response: str, placed: list[tuple[Term, int]]) -> ModelSpec:
@@ -136,9 +137,9 @@ def _validated(text: str, response: str, placed: list[tuple[Term, int]]) -> Mode
         if t in seen:
             raise FormulaError(f"duplicate term at position {pos}", pos)
         seen.add(t)
-    linears = {t.var for t in terms if isinstance(t, Linear)}
+    linears = {t.var for t in terms if t.transform == IDENTITY}
     for t, pos in placed:
-        if isinstance(t, Power) and t.var not in linears:
+        if t.transform == SQUARE and t.var not in linears:
             raise FormulaError(
                 f"squared term {t.var}^2 at position {pos} has no bare {t.var} term", pos)
     return ModelSpec(response=response, terms=tuple(terms))
@@ -147,14 +148,6 @@ def _validated(text: str, response: str, placed: list[tuple[Term, int]]) -> Mode
 def parse_formula(text: str) -> ModelSpec:
     """Parse a formula string into a :class:`ModelSpec`."""
     return _Parser(text).parse()
-
-
-# design-column transforms
-INTERCEPT = "intercept"
-INDICATOR = "indicator"
-IDENTITY = "identity"
-SQUARE = "square"
-TRANSFORMS = (INTERCEPT, INDICATOR, IDENTITY, SQUARE)
 
 
 @dataclass(frozen=True)
@@ -276,12 +269,12 @@ class DesignMatrix:
     term_map: TermMap
 
     def __post_init__(self):
+        object.__setattr__(self, "X", readonly_copy(self.X))
+        object.__setattr__(self, "y", readonly_copy(self.y))
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
             raise FormulaError("design shapes disagree")
         if self.X.shape[1] != self.term_map.k:
             raise FormulaError("design width disagrees with term map")
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -297,18 +290,20 @@ def build_design(
     spec: ModelSpec,
     *,
     reference: Optional[Mapping[str, str]] = None,
-    levels: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> DesignMatrix:
     """Build the design matrix and term map for ``spec`` over ``ds``.
 
-    ``reference`` overrides the reference level per factor (default: the
-    first level); a key that is not a factor term of ``spec`` raises
-    :class:`FormulaError`.  ``levels`` overrides the level order per factor,
-    which pins the dummy coding when re-applying a stored model to new data.
+    A factor gets one indicator column per level of its column except the
+    reference, in the column's level order.  That order is the one the
+    dataset was loaded with: to re-apply a stored model to new data, load
+    the data with ``ColumnSpec(levels=term_map.factor_levels[var])``, which
+    pins the order and makes an unseen level a :class:`DataError`, and pass
+    the stored ``term_map.reference``.  ``reference`` overrides the
+    reference level per factor (default: the first level); a key that is
+    not a factor term of ``spec`` raises :class:`FormulaError`.
     """
     reference = dict(reference or {})
-    levels = {v: tuple(ls) for v, ls in (levels or {}).items()}
-    factors = {t.var for t in spec.terms if isinstance(t, Factor)}
+    factors = {t.var for t in spec.terms if t.transform == INDICATOR}
     for var in reference:
         if var not in factors:
             raise FormulaError(f"reference level given for {var!r}, which is not "
@@ -327,35 +322,28 @@ def build_design(
 
     for term in spec.terms:
         col = ds.column(term.var)
-        if isinstance(term, Factor):
+        if term.transform == INDICATOR:
             if col.kind != "categorical":
                 raise FormulaError(
                     f"C({term.var}) requires a categorical column, got {col.kind}")
-            lv = levels.get(term.var, col.levels)
-            missing = [l for l in lv if l not in col.levels]
-            if missing:
-                raise FormulaError(f"declared level(s) {missing} absent from {term.var!r}")
-            observed = {col.levels[c] for c in np.unique(col.values)}
-            if len(observed) < 2:
+            if np.unique(col.values).size < 2:
                 raise FormulaError(f"factor {term.var!r} has fewer than 2 observed levels")
-            ref = reference.get(term.var, lv[0])
-            if ref not in lv:
+            ref = reference.get(term.var, col.levels[0])
+            if ref not in col.levels:
                 raise FormulaError(f"reference level {ref!r} unknown for {term.var!r}")
-            level_of_row = np.array(col.levels, dtype=object)[col.values]
-            for level in lv:
-                if level == ref:
-                    continue
-                roles.append(ColumnRole(term.var, INDICATOR, level))
-                cols.append((level_of_row == level).astype(np.float64))
+            for code, level in enumerate(col.levels):
+                if level != ref:
+                    roles.append(ColumnRole(term.var, INDICATOR, level))
+                    cols.append((col.values == code).astype(np.float64))
             refmap[term.var] = ref
-            levmap[term.var] = tuple(lv)
-        elif isinstance(term, Linear):
+            levmap[term.var] = tuple(col.levels)
+        elif term.transform == IDENTITY:
             if col.kind == "categorical":
                 raise FormulaError(
                     f"categorical column {term.var!r} must be wrapped in C()")
             roles.append(ColumnRole(term.var, IDENTITY))
             cols.append(col.values.astype(np.float64))
-        else:  # Power
+        else:  # SQUARE
             if col.kind != "continuous":
                 raise FormulaError(f"squared term needs a continuous column, got {col.kind}")
             roles.append(ColumnRole(term.var, SQUARE))
@@ -363,6 +351,7 @@ def build_design(
 
     term_map = TermMap(columns=tuple(roles), reference=refmap, factor_levels=levmap)
     X = np.column_stack(cols)
+    del cols  # DesignMatrix copies X; two n x k arrays alive at once, not three
     return DesignMatrix(X=X, y=y, term_map=term_map)
 
 

@@ -9,6 +9,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .dataset import readonly_copy
 from .formula import DesignMatrix, TermMap
 
 SCORE_TOL = 1e-6
@@ -90,8 +91,8 @@ class FitResult:
     ll_trace: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        self.beta.setflags(write=False)
-        self.cov.setflags(write=False)
+        object.__setattr__(self, "beta", readonly_copy(self.beta))
+        object.__setattr__(self, "cov", readonly_copy(self.cov))
 
 
 @dataclass(frozen=True)

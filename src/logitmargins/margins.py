@@ -125,7 +125,7 @@ def _term_map(fr: FitResult) -> TermMap:
 def mean_design_row(X: Union[np.ndarray, DesignMatrix], term_map: TermMap) -> np.ndarray:
     """Single synthetic row of sample means.
 
-    Factors become fractional indicators (their level shares) and a squared
+    Each factor's indicators become its level shares, and a squared
     column is the square of its variable's mean, keeping the row consistent
     with the substitution semantics.
     """
@@ -371,17 +371,17 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
     n = design.n
     kept = []
+    # one resample buffer, refilled in place: a fresh n x k array per replicate
+    # page-faults in again whenever the allocator has trimmed the heap
+    Xb = np.empty_like(design.X)
     for child in np.random.SeedSequence(seed).spawn(reps):
         idx = np.random.default_rng(child).integers(0, n, size=n)
-        Xb = design.X[idx]
+        np.take(design.X, idx, axis=0, out=Xb)
         try:
             fr = fit(Xb, design.y[idx], term_map=design.term_map)
             kept.append(_evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0])
         except FitError:
             pass
-        # free the resample before the next one is drawn: with two alive,
-        # each n x k copy is a fresh mmap that page-faults in
-        del Xb
 
     failures = reps - len(kept)
     if failures > 0.10 * reps:

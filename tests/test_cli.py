@@ -207,6 +207,49 @@ def test_margins_invalid_combinations(workspace):
     assert r.returncode == 1 and "nothing requested" in r.stderr
 
 
+# a ,BASE is honoured on a factor's effects and rejected where nothing uses it
+@pytest.mark.parametrize("flags, expected", [
+    pytest.param(["--aap", "C(univ),univ2"],
+                 ["AAP univ=univ1", "AAP univ=univ2", "AAP univ=univ3", "AAP univ=univ4",
+                  "AME univ=univ1-univ2", "AME univ=univ3-univ2", "AME univ=univ4-univ2"],
+                 id="aap-factor-base"),
+    pytest.param(["--aap", "jif,3", "--at", "jif=0:1:1"], "needs a factor target",
+                 id="aap-continuous-base"),
+    pytest.param(["--ame", "jif,3"], "needs a factor target", id="ame-continuous-base"),
+    pytest.param(["--over", "C(univ),univ2", "--at", "jif=0:1:1"], "needs --dydx",
+                 id="over-base-without-dydx"),
+])
+def test_margins_base_level(workspace, tmp_path, flags, expected):
+    r = run_cli("margins", "--model", str(workspace / "m.json"),
+                "--data", str(workspace / "s.csv"), *flags,
+                "--table", str(tmp_path / "t.tsv"))
+    if isinstance(expected, list):
+        assert r.returncode == 0, r.stderr
+        rows = (tmp_path / "t.tsv").read_text().strip().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == expected
+    else:
+        lines = r.stderr.splitlines()
+        assert r.returncode == 1
+        assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+        assert expected in lines[0]
+
+
+def test_margins_rejects_a_level_the_model_never_saw(workspace, tmp_path):
+    # the data load through the model's level order, so an extra level is an
+    # error; it is never coded as the reference
+    text = (workspace / "s.csv").read_text().splitlines()
+    header = text[0].split(",").index("univ")
+    row = text[1].split(",")
+    row[header] = "univ5"
+    (tmp_path / "new.csv").write_text("\n".join([text[0], ",".join(row), *text[2:]]) + "\n")
+    r = run_cli("margins", "--model", str(workspace / "m.json"),
+                "--data", str(tmp_path / "new.csv"), "--aap", "C(univ)")
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert "unknown level 'univ5'" in lines[0]
+
+
 def test_margins_bootstrap_runs(workspace):
     r = run_cli("margins", "--model", str(workspace / "m.json"),
                 "--data", str(workspace / "s.csv"), "--ame", "C(univ)",

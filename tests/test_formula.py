@@ -1,16 +1,71 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import logitmargins as lm
-from logitmargins.formula import (ColumnRole, Factor, FormulaError, Linear, Power,
-                                  build_design, parse_formula, substitute_matrix)
+from logitmargins.formula import (IDENTITY, INDICATOR, SQUARE, ColumnRole, FormulaError,
+                                  ModelSpec, Term, build_design, parse_formula,
+                                  substitute_matrix)
 from oracles import ToyModel
 
 
 def test_parse_basic():
     spec = parse_formula("top10 ~ C(univ) + jif + jif^2")
     assert spec.response == "top10"
-    assert spec.terms == (Factor("univ"), Linear("jif"), Power("jif", 2))
+    assert spec.terms == (Term("univ", INDICATOR), Term("jif", IDENTITY),
+                          Term("jif", SQUARE))
+
+
+def test_term_rejects_unknown_transform():
+    with pytest.raises(FormulaError, match="unknown term transform 'intercept'"):
+        Term("x", "intercept")
+
+
+TERM_TOKENS = {INDICATOR: ("C", "(", "{}", ")"), IDENTITY: ("{}",), SQUARE: ("{}", "^", "2")}
+
+
+def render(terms, space) -> tuple[str, list[int]]:
+    """``y ~ t1 + t2 ...`` with ``space`` drawing the whitespace before each
+    token, and the offset where each term starts."""
+    text, starts = space() + "y" + space() + "~", []
+    for i, t in enumerate(terms):
+        if i:
+            text += space() + "+"
+        for j, tok in enumerate(TERM_TOKENS[t.transform]):
+            text += space()
+            if j == 0:
+                starts.append(len(text))
+            text += tok.format(t.var)
+    return text + space(), starts
+
+
+# the terms one variable may bring; a square always comes with its linear term
+SHAPES = ((INDICATOR,), (IDENTITY,), (IDENTITY, SQUARE), (INDICATOR, IDENTITY, SQUARE))
+
+
+@st.composite
+def term_lists(draw):
+    """1-6 distinct terms in any order, each square with its linear term."""
+    names = draw(st.lists(st.sampled_from(["a", "jif", "x_2", "_p"]), min_size=1,
+                          max_size=4, unique=True))
+    terms = [Term(v, tr) for v in names for tr in draw(st.sampled_from(SHAPES))]
+    return draw(st.permutations(terms[:6]))
+
+
+@given(terms=term_lists(), data=st.data())
+def test_parse_returns_the_rendered_terms(terms, data):
+    # guards the one-class Term: every transform parses back to itself, and a
+    # square without its linear term is rejected at the square's position
+    space = lambda: data.draw(st.text(" \t\n", max_size=2))  # noqa: E731
+    text, _ = render(terms, space)
+    assert parse_formula(text) == ModelSpec("y", tuple(terms))
+    for t in terms:
+        if t.transform == SQUARE:
+            rest = [u for u in terms if u != Term(t.var, IDENTITY)]
+            text, starts = render(rest, space)
+            with pytest.raises(FormulaError, match="no bare") as exc:
+                parse_formula(text)
+            assert exc.value.position == starts[rest.index(t)]
 
 
 def test_parse_whitespace_insignificant():
@@ -81,11 +136,35 @@ def test_reference_for_non_factor_rejected(toy_ds, var):
         build_design(toy_ds, parse_formula("y ~ C(g) + x"), reference={var: "a"})
 
 
-def test_level_order_override(toy_ds):
-    design = build_design(toy_ds, parse_formula("y ~ C(g) + x"),
-                          levels={"g": ("c", "b", "a")})
+def test_level_order_override(toy_ds, tmp_path):
+    # the level order comes from the schema, and its first level is the reference
+    lm.to_csv(toy_ds, tmp_path / "toy.csv")
+    ds = lm.load_csv(tmp_path / "toy.csv", [
+        ("y", "binary"), lm.ColumnSpec("g", "categorical", levels=("c", "b", "a")),
+        ("x", "continuous")])
+    design = build_design(ds, parse_formula("y ~ C(g) + x"))
     assert design.term_map.labels == ("intercept", "g=b", "g=a", "x")
     assert design.term_map.reference["g"] == "c"
+
+
+def test_stored_model_on_data_with_an_unseen_level(toy_fit, toy_ds, tmp_path):
+    # re-applying a stored model pins its level order through the schema, so a
+    # level the model never saw is an error, never coded as the reference
+    fr, _ = toy_fit
+    lm.to_csv(toy_ds, tmp_path / "toy.csv")
+    lines = (tmp_path / "toy.csv").read_text().splitlines()
+    lines[1] = lines[1].replace(",a,", ",d,")
+    (tmp_path / "new.csv").write_text("\n".join(lines) + "\n")
+    schema = [("y", "binary"),
+              lm.ColumnSpec("g", "categorical", levels=fr.term_map.factor_levels["g"]),
+              ("x", "continuous")]
+    spec = parse_formula("y ~ C(g) + x + x^2")
+    same = build_design(lm.load_csv(tmp_path / "toy.csv", schema), spec,
+                        reference=fr.term_map.reference)
+    assert same.term_map == fr.term_map
+    with pytest.raises(lm.DataError, match="unknown level 'd' for categorical column 'g'"):
+        build_design(lm.load_csv(tmp_path / "new.csv", schema), spec,
+                     reference=fr.term_map.reference)
 
 
 def test_build_design_errors(toy_ds):

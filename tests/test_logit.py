@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -279,6 +280,32 @@ def test_cov_is_inverse_negative_hessian_at_beta(name, request):
     expected = np.linalg.inv(-score_and_hessian(fr.beta, X, y)[1])
     np.testing.assert_allclose(fr.cov, expected, rtol=1e-9,
                                atol=1e-12 * np.abs(fr.cov).max())
+
+
+# each constructor stores read-only copies: the caller's arrays stay writable,
+# and a later write to them leaves the constructed object unchanged
+@pytest.mark.parametrize("owner", ["dataset", "design", "fit"])
+def test_constructors_store_readonly_copies(toy_fit, owner):
+    fr, design = toy_fit
+    if owner == "dataset":
+        arrays = (np.array([0.5, 1.5, 2.5]),)
+        obj = lm.Dataset("d", (lm.dataset.Column("x", "continuous", arrays[0]),))
+        stored = (obj.column("x").values,)
+    elif owner == "design":
+        arrays = (np.array(design.X), np.array(design.y))
+        obj = lm.DesignMatrix(*arrays, design.term_map)
+        stored = (obj.X, obj.y)
+    else:
+        arrays = (np.array(fr.beta), np.array(fr.cov))
+        obj = dataclasses.replace(fr, beta=arrays[0], cov=arrays[1])
+        stored = (obj.beta, obj.cov)
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        assert a.flags.writeable
+        a[...] = 7.0
+    for a, b in zip(stored, before):
+        assert not a.flags.writeable
+        assert np.array_equal(a, b)
 
 
 def test_model_json_round_trip(toy_fit):
