@@ -132,25 +132,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _parse_factor_arg(text: str) -> tuple[str, bool, Optional[str]]:
-    """'C(univ)' -> (univ, True, None); 'C(univ),u2' -> (univ, True, 'u2');
-    'jif' -> (jif, False, None).  Only a factor target takes a ',BASE'."""
-    base = None
-    body = text.strip()
-    if body.startswith("C(") or body.startswith("c("):
-        close = body.find(")")
-        if close < 0:
-            raise mg.MarginsError(f"unterminated C( in {text!r}")
-        var = body[2:close].strip()
-        rest = body[close + 1:].strip()
-        if rest.startswith(","):
-            base = rest[1:].strip()
-        elif rest:
-            raise mg.MarginsError(f"trailing text {rest!r} after C({var})")
-        return var, True, base
-    if "," in body:
-        raise mg.MarginsError(f"{text!r}: a ,BASE level needs a factor target C(...)")
-    return body, False, None
+def _parse_target(text: str) -> tuple[str, bool, Optional[str]]:
+    """'C(univ),u2' -> (univ, True, 'u2'); 'jif' -> (jif, False, None)."""
+    body, sep, base = (part.strip() for part in text.partition(","))
+    is_factor = body.startswith(("C(", "c("))
+    if is_factor:
+        if not body.endswith(")"):
+            raise mg.MarginsError(f"{text!r}: expected C(VAR) or C(VAR),BASE")
+        body = body[2:-1].strip()
+    return body, is_factor, base if sep else None
 
 
 # conventional grids for the corpus variables; any explicit range overrides
@@ -190,57 +180,36 @@ def _parse_at(text: str) -> tuple[str, tuple[float, ...]]:
 
 
 def _build_requests(args) -> list[mg.MarginRequest]:
-    """Translate margins flags into requests; see README for valid combinations."""
-    n_main = sum(1 for f in (args.aap, args.ame) if f)
+    """Translate margins flags into requests, which reject the fields they
+    would ignore; see README for the valid combinations."""
+    if sum(1 for f in (args.aap, args.ame, args.over) if f) > 1:
+        raise mg.MarginsError("--aap, --ame and --over are mutually exclusive")
+    if args.dydx and (args.aap or args.ame):
+        raise mg.MarginsError("--dydx applies only to --over and a bare --at")
     at = _parse_at(args.at) if args.at else None
-    atmeans = args.atmeans
-    ci = args.ci
 
-    def kind(pred: bool) -> str:
-        if pred:
-            return "apm" if atmeans else "aap"
-        return "mem" if atmeans else "ame"
+    def request(pred: bool, var: str, base: Optional[str] = None) -> mg.MarginRequest:
+        kind = ("apm" if pred else "mem") if args.atmeans else ("aap" if pred else "ame")
+        return mg.MarginRequest(kind=kind, target=var, base=base, at=at,
+                                ci_level=args.ci, discrete=args.discrete)
 
-    if args.over:
+    target = args.aap or args.ame or args.over
+    if target is None:
         if at is None:
-            raise mg.MarginsError("--over requires an --at grid")
-        if n_main:
-            raise mg.MarginsError("--over cannot be combined with --aap/--ame")
-        var, is_factor, base = _parse_factor_arg(args.over)
+            raise mg.MarginsError("nothing requested: use --aap, --ame, --at, or --over")
+        return [request(not args.dydx, at[0])]
+    var, is_factor, base = _parse_target(target)
+    if args.over:
         if not is_factor:
             raise mg.MarginsError("--over takes a factor, e.g. --over C(univ)")
-        if base is not None and not args.dydx:
-            raise mg.MarginsError("--over C(...),BASE needs --dydx: predictions have no base")
-        return [mg.MarginRequest(kind=kind(not args.dydx), target=var, base=base,
-                                 at=at, ci_level=ci)]
-    if args.aap:
-        if args.ame:
-            raise mg.MarginsError("--aap and --ame are mutually exclusive")
-        var, is_factor, base = _parse_factor_arg(args.aap)
-        if is_factor:
-            if at is not None:
-                raise mg.MarginsError("use --over C(...) --at ... for APRV curves")
-            return [mg.MarginRequest(kind=kind(True), target=var, ci_level=ci),
-                    mg.MarginRequest(kind=kind(False), target=var, base=base, ci_level=ci)]
-        if at is None or at[0] != var:
-            raise mg.MarginsError(f"--aap {var} needs --at {var}=LO:HI:STEP")
-        return [mg.MarginRequest(kind=kind(True), target=var, at=at, ci_level=ci)]
-    if args.ame:
-        var, is_factor, base = _parse_factor_arg(args.ame)
-        if is_factor:
-            if at is not None:
-                raise mg.MarginsError("use --over C(...) --at ... --dydx for MERV curves")
-            return [mg.MarginRequest(kind=kind(False), target=var, base=base,
-                                     ci_level=ci)]
-        req_at = at if at is not None and at[0] == var else None
-        if at is not None and req_at is None:
-            raise mg.MarginsError(f"--at grid variable must be {var}")
-        return [mg.MarginRequest(kind=kind(False), target=var, at=req_at,
-                                 ci_level=ci, discrete=args.discrete)]
-    if at is not None:
-        return [mg.MarginRequest(kind=kind(not args.dydx), target=at[0], at=at,
-                                 ci_level=ci, discrete=args.discrete)]
-    raise mg.MarginsError("nothing requested: use --aap, --ame, --at, or --over")
+        if at is None:
+            raise mg.MarginsError("--over requires an --at grid")
+        return [request(not args.dydx, var, base)]
+    if is_factor and at is not None:
+        raise mg.MarginsError("use --over C(...) --at ... for curves over a factor's levels")
+    if args.aap and is_factor:
+        return [request(True, var), request(False, var, base)]
+    return [request(bool(args.aap), var, base)]
 
 
 def _human_margins(rows) -> str:
@@ -404,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--over", metavar="C(FACTOR)[,BASE]",
                    help="one curve per factor level over the --at grid")
     p.add_argument("--dydx", action="store_true",
-                   help="effects instead of predictions for grid requests")
+                   help="effects instead of predictions for --over and a bare --at")
     p.add_argument("--discrete", action="store_true",
-                   help="unit-change effects instead of instantaneous derivatives")
+                   help="unit-change continuous effects instead of derivatives")
     p.add_argument("--atmeans", action="store_true",
                    help="evaluate at a single row of sample means")
     p.add_argument("--vce", choices=("delta", "bootstrap"), default="delta")

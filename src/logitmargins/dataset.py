@@ -310,27 +310,3 @@ def summarize(ds: Dataset) -> SummaryTable:
                                    float(c.values.min()), float(c.values.max())))
     return SummaryTable(tuple(rows))
 
-
-def filter_levels(ds: Dataset, var: str, keep: Sequence[str]) -> Dataset:
-    """Keep only rows whose ``var`` value is in ``keep``; relevel the column.
-
-    The retained level order follows the column's existing order restricted
-    to ``keep``.
-    """
-    col = ds.column(var)
-    if col.kind != "categorical":
-        raise DataError(f"{var!r} is not categorical")
-    unknown = [lv for lv in keep if lv not in col.levels]
-    if unknown:
-        raise DataError(f"unknown level(s) {unknown} for {var!r}")
-    kept_levels = tuple(lv for lv in col.levels if lv in set(keep))
-    keep_codes = {col.levels.index(lv) for lv in kept_levels}
-    mask = np.isin(col.values, sorted(keep_codes))
-    if not mask.any():
-        raise DataError(f"no rows left after filtering {var!r}")
-    recode = {col.levels.index(lv): i for i, lv in enumerate(kept_levels)}
-    codes = np.array([recode[int(k)] for k in col.values[mask]], dtype=np.int64)
-    new_cols = [Column(var, c.kind, codes, kept_levels) if c.name == var
-                else Column(c.name, c.kind, c.values[mask], c.levels)
-                for c in ds.columns]
-    return Dataset(name=ds.name, columns=tuple(new_cols))

@@ -326,7 +326,8 @@ def build_design(
             if col.kind != "categorical":
                 raise FormulaError(
                     f"C({term.var}) requires a categorical column, got {col.kind}")
-            if np.unique(col.values).size < 2:
+            # min == max rather than np.unique, which imports numpy.ma
+            if not col.values.size or col.values.min() == col.values.max():
                 raise FormulaError(f"factor {term.var!r} has fewer than 2 observed levels")
             ref = reference.get(term.var, col.levels[0])
             if ref not in col.levels:

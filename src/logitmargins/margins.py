@@ -77,14 +77,19 @@ class MarginRequest:
     ``kind`` is one of aap, ame, apm, mem, aprv, merv; apm and mem evaluate
     at the single row of sample means.  A factor ``target`` gives one row
     per level in ``levels`` (default: all of them); an effect contrasts each
-    level with ``base`` (default: the reference level) and skips a level
-    equal to it.  ``at`` is an optional (continuous variable, grid) pair.
-    With a factor target each level is crossed with the grid, so aap and ame
-    give APRV and MERV rows.  With a continuous target the grid must be the
-    target's own, and an effect without one is averaged over each row's
-    observed value.  Continuous effects are derivatives, or unit changes
-    with ``discrete``.  The grid must be non-empty, finite and strictly
-    ascending.
+    level with ``base`` (default: the reference level).  ``at`` is an
+    optional (continuous variable, grid) pair.  With a factor target each
+    level is crossed with the grid, so aap and ame give APRV and MERV rows.
+    With a continuous target the grid must be the target's own, and an
+    effect without one is averaged over each row's observed value.
+    Continuous effects are derivatives, or unit changes with ``discrete``.
+
+    A field the request would not read is an error (:class:`MarginsError`):
+    ``base`` or ``discrete`` on a prediction (aap, apm, aprv); aprv or merv
+    without ``at``; ``levels`` or ``base`` on a continuous target;
+    ``discrete`` on a factor target; ``levels`` that are empty, repeated or
+    include the effect's base.  The grid must be non-empty, finite and
+    strictly ascending, and ``ci_level`` in (0, 1).
     """
 
     kind: str
@@ -98,6 +103,13 @@ class MarginRequest:
     def __post_init__(self):
         if self.kind not in ("aap", "ame", "apm", "mem", "aprv", "merv"):
             raise MarginsError(f"unknown margin kind {self.kind!r}")
+        if self.kind in ("aap", "apm", "aprv") and (self.base is not None or self.discrete):
+            raise MarginsError(f"{self.kind} is a prediction: it takes no base or discrete")
+        if self.kind in ("aprv", "merv") and self.at is None:
+            raise MarginsError("representative-value margins need an `at` grid")
+        if self.levels is not None and not 0 < len(self.levels) == len(set(self.levels)):
+            raise MarginsError(f"levels must be non-empty and distinct, got {self.levels}")
+        zstar(self.ci_level)  # a ci_level outside (0, 1) is an error
         if self.at is not None:
             _check_grid(self.at[1])
 
@@ -191,32 +203,36 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
     shift = slope = False
 
     if kind in ("aprv", "merv") or tm.is_factor(target):
-        if kind in ("aprv", "merv") and grid is None:
-            raise MarginsError("representative-value margins need an `at` grid")
         if not tm.is_factor(target):
             raise MarginsError(f"{target!r} is not a factor in the model")
+        if request.discrete:
+            raise MarginsError(f"discrete applies to continuous effects, not factor {target!r}")
         factor = target
         known = tm.factor_levels[target]
-        base = (request.base or tm.reference[target]) if effect else None
+        base = tm.reference[target] if effect and request.base is None else request.base
         for level in (*(request.levels or ()), base):
             if level is not None and level not in known:
                 raise MarginsError(f"unknown level {level!r} for factor {target!r}")
+        if base in (request.levels or ()):
+            raise MarginsError(f"level {base!r} is the base of the contrast")
         if var is not None:
             _check_continuous(tm, var)
         if grid is not None and not atmeans:
             label = "MERV" if effect else "APRV"
         suffix = "" if base is None else f"-{base}"
-        # an effect skips any requested level equal to its base
+        # by default an effect contrasts every level but its base
         specs = [(f"{label} {target}={level}{suffix}", v, (level, v),
                   None if base is None else (base, v))
                  for level in request.levels or known if level != base for v in points]
     else:
+        _check_continuous(tm, target)
+        if request.levels is not None or request.base is not None:
+            raise MarginsError(f"levels and base apply to a factor target, not {target!r}")
         if grid is not None and var != target:
             raise MarginsError("`at` grid variable must match a continuous target")
         if grid is None and not effect:
             raise MarginsError(
                 "adjusted predictions for a continuous variable need an `at` grid")
-        _check_continuous(tm, target)
         var, label = target, f"{label} {target}"
         slope = effect and not request.discrete
         if grid is None:  # an effect at each row's observed value

@@ -22,7 +22,6 @@ import numpy as np
 
 from .dataset import Column, Dataset
 from .formula import build_design, parse_formula
-from .logit import FitResult, fit
 
 DEFAULT_COEFFS = "table2_model3.json"
 
@@ -166,47 +165,6 @@ def generate(cfg: SynthConfig) -> Dataset:
 
     final = [Column(spec.response, "binary", y)] + columns[1:]
     return Dataset(name=cfg.name, columns=tuple(final))
-
-
-@dataclass(frozen=True)
-class CoefRecovery:
-    label: str
-    true: float
-    estimate: float
-    se: float
-    z_dev: float
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    rows: tuple[CoefRecovery, ...]
-    max_abs_z: float
-    ok: bool  # every |z_dev| <= 3
-
-    def __str__(self) -> str:
-        lines = [f"{'term':<24}{'true':>12}{'estimate':>12}{'se':>10}{'z_dev':>8}"]
-        for r in self.rows:
-            lines.append(f"{r.label:<24}{r.true:>12.4g}{r.estimate:>12.4g}"
-                         f"{r.se:>10.4g}{r.z_dev:>8.2f}")
-        lines.append(f"max |z_dev| = {self.max_abs_z:.2f} "
-                     f"({'ok' if self.ok else 'EXCEEDS 3'})")
-        return "\n".join(lines)
-
-
-def recover(cfg: SynthConfig) -> tuple[RecoveryReport, FitResult]:
-    """Generate, refit, and report per-coefficient deviations in SE units."""
-    ds = generate(cfg)
-    spec = parse_formula(cfg.formula)
-    design = build_design(ds, spec)
-    fr = fit(design)
-    se = np.sqrt(np.diag(fr.cov))
-    rows = []
-    for j, label in enumerate(design.term_map.labels):
-        true = cfg.true_beta[label]
-        z = (fr.beta[j] - true) / se[j]
-        rows.append(CoefRecovery(label, true, float(fr.beta[j]), float(se[j]), float(z)))
-    max_z = max(abs(r.z_dev) for r in rows)
-    return RecoveryReport(tuple(rows), max_z, max_z <= 3.0), fr
 
 
 def load_coefficients(path_or_name: str) -> tuple[str, dict[str, float]]:

@@ -12,11 +12,11 @@ PUBLIC = [
     "BootstrapResult", "ColumnSpec", "ContinuousSpec", "ConvergenceError", "DataError",
     "Dataset", "DesignMatrix", "FitError", "FitResult", "FitStats", "FormulaError",
     "MarginRequest", "MarginRow", "MarginsError", "ModelSpec", "RankDeficiencyError",
-    "RecoveryReport", "SeparationError", "SummaryTable", "SynthConfig", "SynthError",
+    "SeparationError", "SummaryTable", "SynthConfig", "SynthError",
     "TermMap", "__version__", "bootstrap_se", "build_design", "compute_margins",
-    "default_config", "filter_levels", "fit", "fit_stats", "from_json", "generate",
+    "default_config", "fit", "fit_stats", "from_json", "generate",
     "load_coefficients", "load_csv", "log_likelihood", "margins_tsv", "parse_formula",
-    "predict", "recover", "schema_of", "score_and_hessian", "sniff_schema", "summarize",
+    "predict", "schema_of", "score_and_hessian", "sniff_schema", "summarize",
     "to_csv", "to_json", "zstar",
 ]
 

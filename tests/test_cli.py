@@ -213,11 +213,11 @@ def test_margins_invalid_combinations(workspace):
                  ["AAP univ=univ1", "AAP univ=univ2", "AAP univ=univ3", "AAP univ=univ4",
                   "AME univ=univ1-univ2", "AME univ=univ3-univ2", "AME univ=univ4-univ2"],
                  id="aap-factor-base"),
-    pytest.param(["--aap", "jif,3", "--at", "jif=0:1:1"], "needs a factor target",
+    pytest.param(["--aap", "jif,3", "--at", "jif=0:1:1"], "takes no base or discrete",
                  id="aap-continuous-base"),
-    pytest.param(["--ame", "jif,3"], "needs a factor target", id="ame-continuous-base"),
-    pytest.param(["--over", "C(univ),univ2", "--at", "jif=0:1:1"], "needs --dydx",
-                 id="over-base-without-dydx"),
+    pytest.param(["--ame", "jif,3"], "apply to a factor target", id="ame-continuous-base"),
+    pytest.param(["--over", "C(univ),univ2", "--at", "jif=0:1:1"],
+                 "takes no base or discrete", id="over-base-without-dydx"),
 ])
 def test_margins_base_level(workspace, tmp_path, flags, expected):
     r = run_cli("margins", "--model", str(workspace / "m.json"),
@@ -232,6 +232,26 @@ def test_margins_base_level(workspace, tmp_path, flags, expected):
         assert r.returncode == 1
         assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
         assert expected in lines[0]
+
+
+# each flag here would be ignored by the request it modifies
+@pytest.mark.parametrize("flags", [
+    ["--aap", "C(univ)", "--discrete"],
+    ["--ame", "C(univ)", "--discrete"],
+    ["--at", "jif=0:1:1", "--discrete"],
+    ["--aap", "jif", "--at", "jif=0:1:1", "--discrete"],
+    ["--over", "C(univ)", "--at", "jif=0:1:1", "--discrete"],
+    ["--over", "C(univ)", "--at", "jif=0:1:1", "--atmeans", "--discrete"],
+    ["--aap", "C(univ)", "--dydx"],
+    ["--ame", "C(univ)", "--dydx"],
+    ["--ame", "jif", "--at", "jif=0:1:1", "--dydx"],
+], ids=" ".join)
+def test_margins_rejects_an_ignored_flag(workspace, flags):
+    r = run_cli("margins", "--model", str(workspace / "m.json"),
+                "--data", str(workspace / "s.csv"), *flags)
+    lines = r.stderr.splitlines()
+    assert r.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
 
 
 def test_margins_rejects_a_level_the_model_never_saw(workspace, tmp_path):
@@ -381,19 +401,22 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_fit_and_margins_never_import_scipy(workspace, tmp_path):
     # scipy.linalg and scipy.special cost most of a CLI call's import time;
-    # only the synth generator and the naming of dependent columns use scipy
+    # only the synth generator and the naming of dependent columns use scipy.
+    # numpy.ma (about 13 ms of import) has no user either
     script = f"""
 import sys
 import logitmargins
 from logitmargins import cli
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+def heavy(m):
+    return m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))
+loaded = [m for m in sys.modules if heavy(m)]
 assert not loaded, ("after import", loaded)
 assert cli.main(["fit", "--data", {str(workspace / "s.csv")!r}, "--model", {MODEL3!r},
                  *{REFS!r}, "--schema", {SCHEMA!r},
                  "--out", {str(tmp_path / "m.json")!r}]) == 0
 assert cli.main(["margins", "--model", {str(tmp_path / "m.json")!r},
                  "--data", {str(workspace / "s.csv")!r}, "--aap", "C(univ)"]) == 0
-loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+loaded = [m for m in sys.modules if heavy(m)]
 assert not loaded, ("after fit and margins", loaded)
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -169,16 +169,6 @@ def test_invalid_column_raises(kind, values, levels, message):
         Column("c", kind, np.array(values), levels)
 
 
-def test_filter_levels(toy_ds):
-    kept = lm.filter_levels(toy_ds, "g", ["a", "c"])
-    assert kept.column("g").levels == ("a", "c")
-    assert kept.n_rows == sum(1 for lv in toy_ds.column("g").values if lv != 1)
-    with pytest.raises(DataError, match="unknown level"):
-        lm.filter_levels(toy_ds, "g", ["nope"])
-    with pytest.raises(DataError, match="not categorical"):
-        lm.filter_levels(toy_ds, "x", ["a"])
-
-
 def test_sniff_schema(tmp_path):
     p = write(tmp_path, "y,g,x\n1,u1,2.5\n0,u2,1\n1,u1,NA\n")
     kinds = {s.name: s.kind for s in lm.sniff_schema(p)}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import logitmargins as lm
+from logitmargins.dataset import Column
 from logitmargins.formula import (IDENTITY, INDICATOR, SQUARE, ColumnRole, FormulaError,
                                   ModelSpec, Term, build_design, parse_formula,
                                   substitute_matrix)
@@ -174,7 +175,10 @@ def test_build_design_errors(toy_ds):
         build_design(toy_ds, parse_formula("y ~ C(x)"))
     with pytest.raises(FormulaError, match="wrapped in C"):
         build_design(toy_ds, parse_formula("y ~ g"))
-    single = lm.filter_levels(toy_ds, "g", ["a"])
+    # three declared levels, one observed: the check counts observed levels
+    single = lm.Dataset("single", (toy_ds.column("y"), toy_ds.column("x"),
+                                   Column("g", "categorical", np.zeros(16, np.int64),
+                                          ("a", "b", "c"))))
     with pytest.raises(FormulaError, match="fewer than 2"):
         build_design(single, parse_formula("y ~ C(g) + x"))
 

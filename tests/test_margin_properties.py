@@ -4,19 +4,25 @@ Each example is a random small design with a 3-4 level factor ``g``, a
 continuous ``x`` with a linked square and a bystander ``z``, plus one margin
 request of any kind.  Coefficients and covariance are drawn directly rather
 than fitted: the margin computation never needs them to be a maximum of the
-likelihood, and every draw is then usable.
+likelihood, and every draw is then usable.  A last property draws requests
+with any fields at all: each is rejected, or reads every field it sets.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 import logitmargins as lm
 from logitmargins.dataset import Column
-from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
+from logitmargins.margins import (MarginRequest, MarginsError, _compile, _evaluate,
+                                  compute_margins)
 from oracles import ToyModel, fd_gradient
 
 LEVELS = ("a", "b", "c", "d")
 GRID_POINTS = tuple(-3.0 + 0.5 * i for i in range(15))
+GRIDS = st.lists(st.sampled_from(GRID_POINTS), min_size=1, max_size=3,
+                 unique=True).map(lambda grid: tuple(sorted(grid)))
 RTOL = 1e-9
 ATOL = 1e-13  # effects can sit near zero, where a relative bound means nothing
 IDENTITY_TOL = 1e-12
@@ -30,7 +36,8 @@ SHAPES = (
 
 
 @st.composite
-def cases(draw):
+def toy_fits(draw):
+    """A random toy fit, its design and its loop oracle."""
     n_levels = draw(st.integers(3, 4))
     levels = LEVELS[:n_levels]
     n = draw(st.integers(n_levels + 4, 24))
@@ -54,17 +61,29 @@ def cases(draw):
                       converged=True, term_map=design.term_map)
     oracle = ToyModel(factors={"g": levels[1:]}, continuous={"x": True, "z": False},
                       raw={"g": [levels[c] for c in codes], "x": list(x), "z": list(z)})
+    return fr, design, oracle
 
+
+@st.composite
+def cases(draw):
+    """A toy fit and a valid request of one of the SHAPES, setting only the
+    fields that shape reads."""
+    fr, design, oracle = draw(toy_fits())
+    levels = fr.term_map.factor_levels["g"]
     kind, target, with_grid = draw(st.sampled_from(SHAPES))
-    grid = tuple(sorted(draw(st.lists(st.sampled_from(GRID_POINTS), min_size=1,
-                                      max_size=3, unique=True))))
-    request = MarginRequest(
-        kind=kind, target=target, at=("x", grid) if with_grid else None,
-        discrete=draw(st.booleans()),
-        levels=draw(st.none() | st.lists(st.sampled_from(levels), min_size=1,
-                                         max_size=3, unique=True).map(tuple)),
-        base=draw(st.none() | st.sampled_from(levels)))
-    return fr, design, oracle, request
+    effect = kind in ("ame", "mem", "merv")
+    fields = {}
+    if with_grid:
+        fields["at"] = ("x", draw(GRIDS))
+    if target == "g":
+        if effect:
+            fields["base"] = draw(st.none() | st.sampled_from(levels))
+        chosen = [lv for lv in levels if not effect or lv != (fields["base"] or levels[0])]
+        fields["levels"] = draw(st.none() | st.lists(
+            st.sampled_from(chosen), min_size=1, max_size=3, unique=True).map(tuple))
+    elif effect:
+        fields["discrete"] = draw(st.booleans())
+    return fr, design, oracle, MarginRequest(kind=kind, target=target, **fields)
 
 
 def oracle_rows(oracle: ToyModel, beta, request: MarginRequest, levels) -> list[float]:
@@ -166,3 +185,56 @@ def test_kernel_gradients_match_finite_differences(case):
         fd = fd_gradient(lambda b: _evaluate(plan, b, gradients=False)[0][r], fr.beta)
         scale = max(1e-12, float(np.max(np.abs(grad[:, r]))))
         assert np.max(np.abs(grad[:, r] - fd)) / scale < 1e-6
+
+
+DEFAULTS = {"levels": None, "base": None, "at": None, "ci_level": 0.95, "discrete": False}
+# any value of each request field, valid or not
+FIELD_VALUES = {
+    "kind": st.sampled_from(("aap", "ame", "apm", "mem", "aprv", "merv")),
+    "target": st.sampled_from(("g", "x", "z")),
+    "levels": st.none() | st.lists(st.sampled_from(LEVELS + ("zz",)), max_size=3).map(tuple),
+    "base": st.none() | st.sampled_from(LEVELS + ("zz", "")),
+    "at": st.none() | st.tuples(st.sampled_from(("x", "z", "g")), GRIDS),
+    "ci_level": st.sampled_from((0.95, 0.5, 0.99, 1.0)),
+    "discrete": st.booleans(),
+}
+
+
+def other_values(name: str, levels) -> list:
+    """Explicit values of an optional field to swap into a valid request."""
+    if name == "levels":
+        return [p for r in (1, 2) for p in itertools.permutations(levels, r)]
+    if name == "base":
+        return list(levels)
+    if name == "at":
+        return [(var, grid) for var in ("x", "z") for grid in ((0.0,), (0.5, 1.0))]
+    if name == "ci_level":
+        return [0.5, 0.9, 0.95, 0.99]
+    return [False, True]
+
+
+def rows_or_none(fr, design, fields):
+    """The request's rows, or None when it is rejected with a MarginsError."""
+    try:
+        return compute_margins(fr, design, MarginRequest(**fields))
+    except MarginsError:
+        return None
+
+
+@given(cases(), st.data())
+def test_a_request_is_rejected_or_reads_every_field_it_sets(case, data):
+    fr, design, _, request = case
+    # any subset of a valid request's fields, up to all of them, drawn anew
+    names = data.draw(st.sets(st.sampled_from(tuple(FIELD_VALUES))), label="redrawn")
+    fields = {name: getattr(request, name) for name in FIELD_VALUES}
+    fields.update({name: data.draw(FIELD_VALUES[name], label=name) for name in sorted(names)})
+    rows = rows_or_none(fr, design, fields)
+    if rows is None:
+        return
+    for name, value in fields.items():
+        if name not in DEFAULTS or value == DEFAULTS[name]:
+            continue
+        for other in other_values(name, fr.term_map.factor_levels["g"]):
+            if other != value:
+                changed = rows_or_none(fr, design, {**fields, name: other})
+                assert changed is None or changed != rows, (name, value, other)

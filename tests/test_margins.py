@@ -109,13 +109,34 @@ def test_ame_is_exact_aap_difference(toy_fit, corpus2k):
             assert abs(got.estimate - diff) <= TOL
 
 
-def test_effect_skips_level_equal_to_base(toy_fit):
+def test_effect_rejects_level_equal_to_base(toy_fit):
     fr, design = toy_fit
     grid = ("x", (0.0, 1.0, 2.0))
     for kind, at in (("ame", None), ("mem", None), ("merv", grid), ("mem", grid)):
-        assert margin_rows(fr, design, kind, "g", levels=("b",), base="b", at=at) == []
-    rows = margin_rows(fr, design, "merv", "g", levels=("a", "b"), base="a", at=grid)
+        with pytest.raises(MarginsError, match="base of the contrast"):
+            margin_rows(fr, design, kind, "g", levels=("b",), base="b", at=at)
+    rows = margin_rows(fr, design, "merv", "g", levels=("b",), base="a", at=grid)
     assert [r.label for r in rows] == ["MERV g=b-a"] * 3
+
+
+# each request sets a field that no code would read
+@pytest.mark.parametrize("kind, target, fields", [
+    ("aap", "g", {"base": "zz"}),
+    ("aap", "x", {"levels": ("a",), "at": ("x", (1.0,))}),
+    ("ame", "x", {"levels": ("a",)}),
+    ("ame", "x", {"base": "a"}),
+    ("aap", "g", {"discrete": True}),
+    ("aprv", "g", {"discrete": True, "at": ("x", (1.0,))}),
+    ("aap", "g", {"levels": ("b", "b")}),
+    ("ame", "g", {"levels": ()}),
+    ("ame", "g", {"levels": ("a",)}),
+    ("ame", "g", {"base": ""}),
+    ("aap", "g", {"ci_level": 1.0}),
+])
+def test_request_rejects_a_field_it_would_ignore(toy_fit, kind, target, fields):
+    fr, design = toy_fit
+    with pytest.raises(MarginsError):
+        margin_rows(fr, design, kind, target, **fields)
 
 
 def _flat_fit(design, cov_scale: float) -> lm.FitResult:

@@ -109,19 +109,6 @@ def test_continuous_moments_roughly_match():
     assert authors.mean() == pytest.approx(4.2, abs=0.2)
 
 
-def test_recover_report(corpus15k):
-    cfg, _ = corpus15k
-    report, fr = lm.recover(cfg)
-    assert len(report.rows) == 15
-    assert report.ok and report.max_abs_z <= 3.0
-    assert "z_dev" in str(report) or "max |z_dev|" in str(report)
-
-
-def test_recover_small_sample_reports_without_asserting():
-    report, fr = lm.recover(default_config(50, 12345))
-    assert len(report.rows) == 15  # wide deviations allowed, just a report
-
-
 def test_null_dgp_lr_chi2_matches_df():
     # with all slopes zero, 2(ll - ll0) is chi-squared with df = k-1
     base = default_config(800, 0)
