@@ -127,8 +127,12 @@ def cmd_fit(args) -> int:
     print("* p < 0.05, ** p < 0.01, *** p < 0.001")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(logit_mod.to_json(fr, args.model))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(logit_mod.to_json(fr, args.model))
+        except OSError as exc:
+            _err(str(exc))
+            return 1
     return 0
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -74,12 +74,13 @@ class Column:
     def n(self) -> int:
         return len(self.values)
 
-    def token(self, i: int) -> str:
+    def tokens(self) -> list[str]:
+        """The CSV cells of this column, which load back to the same values."""
+        values = self.values.tolist()
         if self.kind == "categorical":
-            return self.levels[self.values[i]]
-        if self.kind == "binary":
-            return str(int(self.values[i]))
-        return repr(float(self.values[i]))
+            return [self.levels[c] for c in values]
+        return list(map(str, map(int, values)) if self.kind == "binary"
+                    else map(repr, values))
 
 
 @dataclass(frozen=True)
@@ -168,64 +169,55 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
     other than 0/1, and datasets left empty after filtering.
     """
     specs = _normalize_schema(schema)
-    with _csv_rows(path) as (header, rows):
-        col_index = {}
-        for spec in specs:
-            if spec.name not in header:
-                raise DataError(f"{path}: header is missing column {spec.name!r}")
-            col_index[spec.name] = header.index(spec.name)
-        raw: list[list[str]] = []
-        n_dropped = 0
-        for row in rows:
-            cells = [row[col_index[s.name]].strip() if col_index[s.name] < len(row) else ""
-                     for s in specs]
-            if any(c in MISSING_TOKENS for c in cells):
-                n_dropped += 1
-                continue
-            raw.append(cells)
-    if not raw:
+    header, columns = _csv_columns(path)
+    for spec in specs:
+        if spec.name not in header:
+            raise DataError(f"{path}: header is missing column {spec.name!r}")
+    cells = [columns[header.index(s.name)] for s in specs]
+    dropped = set()
+    for col in cells:
+        for tok in MISSING_TOKENS:
+            if tok in col:
+                dropped.update(i for i, t in enumerate(col) if t == tok)
+    if len(dropped) == (len(columns[0]) if columns else 0):
         raise DataError(f"{path}: no rows left after listwise deletion")
-
-    columns: list[Column] = []
-    for j, spec in enumerate(specs):
-        tokens = [r[j] for r in raw]
-        columns.append(_make_column(spec, tokens))
-    return Dataset(name=name or str(path), columns=tuple(columns), n_dropped=n_dropped)
+    if dropped:
+        cells = [[t for i, t in enumerate(col) if i not in dropped] for col in cells]
+    return Dataset(name=name or str(path), n_dropped=len(dropped),
+                   columns=tuple(_make_column(s, col) for s, col in zip(specs, cells)))
 
 
-@contextlib.contextmanager
-def _csv_rows(path):
-    """Open a CSV file and yield its header and an iterator over its non-empty
-    rows, which streams from the file until the ``with`` block ends."""
+def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV file into its header and one list of stripped cells per
+    column.  Empty lines are skipped; a row's absent cells read as ``""``."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        yield header, filter(None, reader)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    # the header row gives each name a column even with no cells below it;
+    # stripping while the rows are alive peaks lower than a later copy would
+    columns = itertools.zip_longest(header, *rows, fillvalue="")
+    return header, [list(map(str.strip, itertools.islice(col, 1, None))) for col in columns]
 
 
 def _make_column(spec: ColumnSpec, tokens: list[str]) -> Column:
     if spec.kind == "categorical":
         # declared level order wins, otherwise first appearance
-        index = {lv: i for i, lv in enumerate(spec.levels or ())}
-        codes = np.empty(len(tokens), dtype=np.int64)
-        for i, t in enumerate(tokens):
-            if t not in index:
-                if spec.levels is not None:
-                    raise DataError(
-                        f"unknown level {t!r} for categorical column {spec.name!r}")
-                index[t] = len(index)
-            codes[i] = index[t]
-        levels = tuple(index) if spec.levels is None else tuple(spec.levels)
+        levels = tuple(dict.fromkeys(tokens) if spec.levels is None else spec.levels)
+        index = {lv: i for i, lv in enumerate(levels)}
+        try:
+            codes = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+        except KeyError as exc:
+            raise DataError(f"unknown level {exc.args[0]!r} for categorical "
+                            f"column {spec.name!r}") from None
         return Column(spec.name, "categorical", codes, levels)
     try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
+        values = np.array(list(map(float, tokens)), dtype=np.float64)
     except ValueError:
         bad = next(t for t in tokens if not _is_float(t))
         raise DataError(
@@ -254,8 +246,7 @@ def to_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(ds.names)
-        for i in range(ds.n_rows):
-            writer.writerow([c.token(i) for c in ds.columns])
+        writer.writerows(zip(*(c.tokens() for c in ds.columns)))
 
 
 def schema_of(ds: Dataset) -> list[ColumnSpec]:
@@ -270,18 +261,13 @@ def sniff_schema(path) -> list[ColumnSpec]:
     continuous, and everything else is categorical.  Missing tokens are
     ignored during inference.
     """
-    with _csv_rows(path) as (header, rows):
-        seen: list[list[str]] = [[] for _ in header]
-        for row in rows:
-            for tokens, t in zip(seen, row):
-                t = t.strip()
-                if t not in MISSING_TOKENS:
-                    tokens.append(t)
+    header, columns = _csv_columns(path)
     specs = []
-    for name, tokens in zip(header, seen):
-        if tokens and all(t in ("0", "1") for t in tokens):
+    for name, col in zip(header, columns):
+        tokens = set(col).difference(MISSING_TOKENS)
+        if tokens and tokens <= {"0", "1"}:
             specs.append(ColumnSpec(name, "binary"))
-        elif tokens and all(_is_float(t) for t in tokens):
+        elif tokens and all(map(_is_float, tokens)):
             specs.append(ColumnSpec(name, "continuous"))
         else:
             specs.append(ColumnSpec(name, "categorical"))

@@ -1,14 +1,18 @@
 """Independent reference implementations used only by the tests.
 
-Nothing here calls the library's substitution or margin code.  The margin
-oracles re-implement the counterfactual recipe as plain Python loops over
-raw column values: set the target variable for one row, rebuild that row's
-design vector from scratch, predict, repeat, average.
+Nothing here calls the library's substitution, margin or CSV code.  The
+margin oracles re-implement the counterfactual recipe as plain Python loops
+over raw column values: set the target variable for one row, rebuild that
+row's design vector from scratch, predict, repeat, average.  The CSV
+oracles read a file one row and one cell at a time.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from logitmargins.dataset import MISSING_TOKENS, Column, ColumnSpec, DataError, Dataset
 
 
 def sigmoid(t: float) -> float:
@@ -204,3 +208,95 @@ def fd_gradient(f, beta: np.ndarray, h: float = 1e-6) -> np.ndarray:
         dn[j] -= h
         g[j] = (f(up) - f(dn)) / (2.0 * h)
     return g
+
+
+def _csv_rows(path):
+    """The header and the non-empty rows of a CSV file."""
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        return header, [row for row in reader if row]
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def load_csv_rowwise(path, schema) -> Dataset:
+    """``load_csv`` one row at a time: a stripped cell list per row, listwise
+    deletion per row, then a typed column from each cell position."""
+    specs = [s if isinstance(s, ColumnSpec) else ColumnSpec(*s) for s in schema]
+    header, rows = _csv_rows(path)
+    for spec in specs:
+        if spec.name not in header:
+            raise DataError(f"{path}: header is missing column {spec.name!r}")
+    where = [header.index(s.name) for s in specs]
+    kept, n_dropped = [], 0
+    for row in rows:
+        cells = [row[j].strip() if j < len(row) else "" for j in where]
+        if any(c in MISSING_TOKENS for c in cells):
+            n_dropped += 1
+        else:
+            kept.append(cells)
+    if not kept:
+        raise DataError(f"{path}: no rows left after listwise deletion")
+    columns = tuple(_column_rowwise(spec, [r[j] for r in kept])
+                    for j, spec in enumerate(specs))
+    return Dataset(name=str(path), columns=columns, n_dropped=n_dropped)
+
+
+def _column_rowwise(spec: ColumnSpec, tokens: list) -> Column:
+    if spec.kind == "categorical":
+        index = {lv: i for i, lv in enumerate(spec.levels or ())}
+        codes = []
+        for t in tokens:
+            if t not in index:
+                if spec.levels is not None:
+                    raise DataError(
+                        f"unknown level {t!r} for categorical column {spec.name!r}")
+                index[t] = len(index)
+            codes.append(index[t])
+        levels = tuple(index) if spec.levels is None else tuple(spec.levels)
+        return Column(spec.name, "categorical", np.array(codes, dtype=np.int64), levels)
+    values = []
+    for t in tokens:
+        if not _is_float(t):
+            raise DataError(f"non-numeric token {t!r} in {spec.kind} column {spec.name!r}")
+        values.append(float(t))
+    if spec.kind == "binary":
+        for t, v in zip(tokens, values):
+            if v not in (0.0, 1.0):
+                raise DataError(f"invalid binary value {t!r} in column {spec.name!r}")
+    elif not all(math.isfinite(v) for v in values):
+        raise DataError(f"non-finite value in continuous column {spec.name!r}")
+    return Column(spec.name, spec.kind, np.array(values, dtype=np.float64))
+
+
+def sniff_kinds_rowwise(path) -> list:
+    """The column kinds ``sniff_schema`` infers, gathered cell by cell."""
+    header, rows = _csv_rows(path)
+    seen = [[] for _ in header]
+    for row in rows:
+        for tokens, t in zip(seen, row):
+            if t.strip() not in MISSING_TOKENS:
+                tokens.append(t.strip())
+    kinds = []
+    for tokens in seen:
+        if tokens and all(t in ("0", "1") for t in tokens):
+            kinds.append("binary")
+        elif tokens and all(_is_float(t) for t in tokens):
+            kinds.append("continuous")
+        else:
+            kinds.append("categorical")
+    return kinds

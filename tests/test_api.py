@@ -3,10 +3,15 @@
 Adding or removing a name or a flag changes one line here.
 """
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import pytest
 
 import logitmargins as lm
 from logitmargins import cli
+from logitmargins.dataset import Column
 
 PUBLIC = [
     "BootstrapResult", "ColumnSpec", "ContinuousSpec", "ConvergenceError", "DataError",
@@ -50,3 +55,16 @@ def test_margins_schema_is_a_usage_error(capsys):
                                        "--schema", "y:binary"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --schema" in capsys.readouterr().err
+
+
+def test_frozen_bench_hooks_resolve():
+    # bench/ is frozen between benchmark versions, so a rename of a binding it
+    # wraps or a keyword it passes fails here instead of inside bench/run.py
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_tracer", root / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _, _ in tracer.BINDINGS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    assert "workers" in inspect.signature(lm.bootstrap_se).parameters
+    assert hasattr(Column, "codes")

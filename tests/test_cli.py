@@ -302,6 +302,32 @@ def test_unwritable_output_exits_nonzero(workspace, tmp_path):
                 "--data", str(workspace / "s.csv"), "--aap", "C(univ)",
                 "--table", str(tmp_path / "no" / "dir" / "t.tsv"))
     assert r.returncode == 1
+    out = tmp_path / "no" / "dir" / "m.json"
+    r = run_cli("fit", "--data", str(workspace / "s.csv"), "--model", MODEL1, "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"error: [Errno 2] No such file or directory: '{out}'"]
+
+
+def test_fit_reads_a_csv_with_a_byte_order_mark(workspace, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (workspace / "s.csv").read_bytes())
+    runs = [run_cli("fit", "--data", str(p), "--model", MODEL1)
+            for p in (workspace / "s.csv", bom)]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("command", ["fit", "margins", "summarize"])
+def test_undecodable_csv_exits_1(workspace, tmp_path, command):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"top10,univ\n1,univ1\n0,caf\xe9\n")
+    flags = {"fit": ["--model", MODEL1],
+             "margins": ["--model", str(workspace / "m.json"), "--aap", "C(univ)"],
+             "summarize": []}[command]
+    r = run_cli(command, "--data", str(bad), *flags)
+    assert r.returncode == 1
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {bad}:"), r.stderr
 
 
 def test_missing_model_file(workspace):

@@ -1,12 +1,15 @@
+import csv
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import logitmargins as lm
 from logitmargins.dataset import KINDS, Column, DataError
+from oracles import load_csv_rowwise, sniff_kinds_rowwise
 
 SCHEMA = [("top10", "binary"), ("univ", "categorical"), ("jif", "continuous")]
 
@@ -167,6 +170,67 @@ def test_csv_round_trip_any_dataset(ds):
 def test_invalid_column_raises(kind, values, levels, message):
     with pytest.raises(DataError, match=message):
         Column("c", kind, np.array(values), levels)
+
+
+# cells that exercise padding, both missing tokens, quoting, float() syntax,
+# non-finite and non-numeric values and binaries out of range
+CELL = st.sampled_from(["0", "1", " 1 ", "2", "-0", "2.5", " 1e3", "1_0", "inf", "nan",
+                        "", " ", "NA", " NA", "na", "a", "b", " a", "a b", "x,y",
+                        '"q"', "oops"])
+
+
+@st.composite
+def messy_csv(draw):
+    """CSV text with blank lines, short and long rows and an optional BOM, and
+    a schema over its header names plus one name it may lack."""
+    header = draw(st.lists(st.sampled_from(("y", "g", "x", "x ", "")), min_size=1, max_size=5))
+    rows = draw(st.lists(st.lists(CELL, min_size=len(header) - 1, max_size=len(header) + 1),
+                         max_size=8))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        if draw(st.booleans()):
+            out.write("\n")
+        writer.writerow(row or [""])
+    names = draw(st.lists(st.sampled_from(sorted(set(header))), min_size=1, max_size=3,
+                          unique=True)) + draw(st.sampled_from([[]] * 9 + [["z"]]))
+    schema = []
+    for name in names:
+        kind = draw(st.sampled_from(KINDS))
+        levels = None
+        if kind == "categorical" and draw(st.booleans()):
+            levels = tuple(draw(st.lists(st.sampled_from(["a", "b", "a b", "x,y", "0"]),
+                                         min_size=1, max_size=3, unique=True)))
+        schema.append(lm.ColumnSpec(name, kind, levels))
+    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue(), schema
+
+
+def outcome(load, path, schema):
+    try:
+        ds = load(path, schema)
+    except DataError as exc:
+        return str(exc)
+    return ds, ds.n_dropped
+
+
+# most drawn files end in an error, so more examples reach a loaded dataset
+@settings(max_examples=500)
+@given(case=messy_csv())
+def test_load_and_sniff_match_the_rowwise_reference(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(lm.load_csv, path, schema) == outcome(load_csv_rowwise, path, schema)
+        assert [s.kind for s in lm.sniff_schema(path)] == sniff_kinds_rowwise(path)
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_text("y,g,x\n1,u1,2.5\n0,u2,1\n", encoding="utf-8-sig")
+    assert [s.name for s in lm.sniff_schema(p)] == ["y", "g", "x"]
+    assert lm.load_csv(p, [("y", "binary")]).column("y").values.tolist() == [1.0, 0.0]
 
 
 def test_sniff_schema(tmp_path):
