@@ -188,8 +188,9 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
 
 
 def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV file into its header and one list of stripped cells per
-    column.  Empty lines are skipped; a row's absent cells read as ``""``."""
+    """Read a CSV file into its stripped, distinct header names and one list
+    of stripped cells per column.  Empty lines are skipped; a row's absent
+    cells read as ``""``."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -199,6 +200,9 @@ def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in header]
+    if len(set(header)) < len(header):
+        raise DataError(f"{path}: column names are not unique")
     # the header row gives each name a column even with no cells below it;
     # stripping while the rows are alive peaks lower than a later copy would
     columns = itertools.zip_longest(header, *rows, fillvalue="")

@@ -55,7 +55,11 @@ def two_sided_p(z) -> np.ndarray:
 
 
 def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Bernoulli log-likelihood sum(y*eta - softplus(eta)), overflow safe."""
+    """Bernoulli log-likelihood sum(y*eta - softplus(eta)), overflow safe.
+
+    A reference for one coefficient vector; :func:`fit` evaluates its
+    candidates in blocks instead.
+    """
     beta = np.asarray(beta, dtype=np.float64)
     if not np.isfinite(beta).all():
         raise ValueError("non-finite coefficient vector")
@@ -65,7 +69,11 @@ def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def score_and_hessian(beta, X, y):
-    """Gradient X'(y-p) and Hessian -X' diag(p(1-p)) X of the log-likelihood."""
+    """Gradient X'(y-p) and Hessian -X' diag(p(1-p)) X of the log-likelihood.
+
+    A reference for one coefficient vector; :func:`fit` evaluates them in
+    blocks instead.
+    """
     beta = np.asarray(beta, dtype=np.float64)
     eta = X @ beta
     p = expit(eta, out=eta)
@@ -107,9 +115,7 @@ class FitStats:
     p: np.ndarray
 
 
-def _null_ll(y: np.ndarray) -> float:
-    ybar = float(np.mean(y))
-    n = len(y)
+def _null_ll(ybar: float, n: int) -> float:
     if ybar in (0.0, 1.0):
         return 0.0
     return n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
@@ -132,24 +138,194 @@ def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
         raise RankDeficiencyError(names)
 
 
-def _check_separation(beta, X, y, col_scale):
-    scaled = np.abs(beta) * col_scale
-    # column 0 (the intercept) is exempt: constant columns carry no scale
-    if len(beta) > 1 and (scaled[1:] > _SEPARATION_BETA).any():
-        raise SeparationError(
-            "quasi-complete separation: a standardized coefficient exceeds 30")
-    ones = y == 1.0
-    zeros = ~ones
-    if ones.any() and zeros.any():
-        p = expit(X @ beta)
-        if (p[ones] >= 1.0 - _SEPARATION_PROB).all() and (p[zeros] <= _SEPARATION_PROB).all():
-            raise SeparationError(
-                "complete separation: fitted probabilities are pinned at 0/1")
+def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Per column of ``eta``, sum(c*(y*eta - softplus(eta))) under the weights ``C``."""
+    # softplus(eta) = max(eta, 0) + log1p(exp(-|eta|)), finite for eta = +-800;
+    # the vectorised exp and log1p are several times faster than np.logaddexp
+    ll = np.abs(eta)
+    np.negative(ll, out=ll)
+    np.log1p(np.exp(ll, out=ll), out=ll)
+    ll += np.maximum(eta, 0.0)
+    np.subtract(y[:, None] * eta, ll, out=ll)
+    ll *= C
+    return ll.sum(axis=0)
+
+
+def _score_hessians(X, y, C, P, buf):
+    """Scores X'(c(y-p)) as (k, A), and negative Hessians X'diag(c p(1-p))X
+    as (A, k, k), of the A fits with probabilities ``P`` and weights ``C``.
+
+    Each Hessian is one product ``buf.T @ X`` with ``buf`` the n x k buffer
+    refilled with the weighted rows.
+    """
+    score = X.T @ ((y[:, None] - P) * C)
+    W = 1.0 - P
+    W *= P
+    W *= C
+    neg_h = np.empty((P.shape[1], X.shape[1], X.shape[1]))
+    for a in range(P.shape[1]):
+        np.multiply(X, W[:, a, None], out=buf)
+        np.matmul(buf.T, X, out=neg_h[a])
+    return score, neg_h
+
+
+def _cholesky(A: np.ndarray) -> list:
+    """The lower Cholesky factor of each of the stacked matrices ``A``, or
+    the ``LinAlgError`` of one that is not positive definite."""
+    try:
+        return list(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        out = []
+        for a in A:
+            try:
+                out.append(np.linalg.cholesky(a))
+            except np.linalg.LinAlgError as exc:
+                out.append(exc)
+        return out
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = b from the lower Cholesky factor L."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+    """Solve (L L') x = b from the (stacked) lower Cholesky factors L."""
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, b))
+
+
+def _separation(beta, col_scale, p, y, C) -> list:
+    """The :class:`SeparationError` of each fit, or None.
+
+    A fit is a column of ``beta``, ``p`` and the weights ``C``; the fitted
+    probabilities are checked only on rows with a positive weight.
+    """
+    # row 0 (the intercept) is exempt: constant columns carry no scale
+    quasi = (np.abs(beta[1:]) * col_scale[1:] > _SEPARATION_BETA).any(axis=0)
+    ones = (C > 0) & (y == 1.0)[:, None]
+    zeros = (C > 0) & (y == 0.0)[:, None]
+    pinned = (ones.any(axis=0) & zeros.any(axis=0)
+              & ((p >= 1.0 - _SEPARATION_PROB) | ~ones).all(axis=0)
+              & ((p <= _SEPARATION_PROB) | ~zeros).all(axis=0))
+    errors = []
+    for q, pin in zip(quasi, pinned):
+        if q:
+            errors.append(SeparationError(
+                "quasi-complete separation: a standardized coefficient exceeds 30"))
+        elif pin:
+            errors.append(SeparationError(
+                "complete separation: fitted probabilities are pinned at 0/1"))
+        else:
+            errors.append(None)
+    return errors
+
+
+def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
+            term_map: Optional[TermMap] = None) -> list:
+    """Newton-Raphson fits of one logit model under B frequency-weight columns.
+
+    Column b of ``C`` (n x B) counts how often each row enters fit b, as a
+    row resample drawn with replacement does; ``None`` is one fit of the
+    rows as given.  Fit b runs, in the same order, every check and step that
+    a fit of its materialised resample runs (see :func:`fit`), from
+    ``sqrt(c)*X`` for the rank check and weighted sums elsewhere, so it
+    gives that fit's iterations and exceptions and its estimates up to
+    rounding.  The fits iterate together; one that converges or fails
+    leaves the active set.  Returns one :class:`FitResult`, or the
+    exception that fit raised, per column.  An invalid ``X`` or ``y`` raises
+    at once, for the whole block.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, k) and y (n,) with matching n")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("response must be 0/1")
+    if not np.isfinite(X).all():
+        raise ValueError("design matrix has non-finite values")
+    n, k = X.shape
+    if n <= k:
+        raise FitError(f"need more observations than parameters (n={n}, k={k})")
+    C = np.ones((n, 1)) if C is None else np.asarray(C, dtype=np.float64)
+    out: list = [None] * C.shape[1]
+    # the one n x k buffer: weighted rows for the rank check, the column
+    # scales and every Hessian, refilled in place
+    buf = np.empty_like(X)
+    for b, c in enumerate(C.T):
+        np.multiply(X, np.sqrt(c)[:, None], out=buf)
+        try:
+            _check_rank(buf, term_map)
+        except RankDeficiencyError as exc:
+            out[b] = exc
+    # weighted column sds, from moments about the full-sample mean: every
+    # weighted mean is close to it, so the difference loses no precision
+    np.subtract(X, X.mean(axis=0), out=buf)
+    shift = C.T @ buf / n
+    col_var = C.T @ np.square(buf, out=buf) / n - shift * shift
+    col_sd = np.sqrt(np.maximum(col_var, 0.0)).T
+    col_scale = np.where(col_sd > 0, col_sd, 1.0)
+
+    act = np.flatnonzero([o is None for o in out])  # the fits still iterating
+    C = C[:, act]
+    beta = np.zeros((k, act.size))
+    P = np.full((n, act.size), 0.5)  # expit(0)
+    ll = prev_ll = _log_likelihoods(np.zeros_like(P), y, C)
+    traces = {b: [v] for b, v in zip(act, ll)}
+    iterations = 0
+    while act.size:
+        score, neg_h = _score_hessians(X, y, C, P, buf)
+        converged = ((np.abs(ll - prev_ll) / (np.abs(prev_ll) + 1e-300) < tol)
+                     & (np.abs(score).max(axis=0) < SCORE_TOL) & (iterations > 0))
+        if iterations >= max_iter:
+            for a in np.flatnonzero(~converged):
+                out[act[a]] = ConvergenceError(f"no convergence after {max_iter} iterations")
+        chol = _cholesky(neg_h)
+        for a, b in enumerate(act):
+            if out[b] is not None:
+                continue
+            if isinstance(chol[a], np.linalg.LinAlgError):
+                out[b] = FitError("negative Hessian is not positive definite")
+                out[b].__cause__ = chol[a]
+            elif converged[a]:
+                cov = _cho_solve(chol[a], np.eye(k))
+                out[b] = FitResult(beta=beta[:, a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
+                                   ll0=_null_ll(float(y @ C[:, a]) / n, n), n=n, k=k,
+                                   iterations=iterations, converged=True,
+                                   term_map=term_map, ll_trace=tuple(traces[b]))
+        keep = np.array([out[b] is None for b in act], dtype=bool)
+        if not keep.all():
+            act, C, beta, P, ll, score = (act[keep], C[:, keep], beta[:, keep], P[:, keep],
+                                          ll[keep], score[:, keep])
+            chol = [L for L, kept in zip(chol, keep) if kept]
+        if not act.size:
+            break
+
+        step = _cho_solve(np.stack(chol), score.T[:, :, None])[:, :, 0].T
+        finite = np.isfinite(beta + step).all(axis=0)
+        for a in np.flatnonzero(~finite):
+            out[act[a]] = ValueError("non-finite coefficient vector")
+        step[:, ~finite] = 0.0  # that fit leaves below; its arithmetic stays finite
+        # a computed decrease within fp resolution of ll is not a real decrease;
+        # rejecting it would freeze the final score-polishing steps
+        noise = 64.0 * np.finfo(np.float64).eps * (1.0 + np.abs(ll))
+        scale = np.ones(act.size)  # the full step, then at most 60 halvings
+        while True:
+            cand = beta + step * scale
+            eta = X @ cand
+            cand_ll = _log_likelihoods(eta, y, C)
+            halve = (cand_ll < ll - noise) & (scale > 0.5 ** 60)
+            if not halve.any():
+                break
+            scale[halve] *= 0.5
+        # the accepted eta serves the likelihood, the separation check and
+        # the next score and Hessian
+        beta, prev_ll, ll, P = cand, ll, cand_ll, expit(eta, out=eta)
+        iterations += 1
+        for b, v in zip(act, ll):
+            traces[b].append(v)
+        for b, err in zip(act, _separation(beta, col_scale[:, act], P, y, C)):
+            if out[b] is None:
+                out[b] = err
+        keep = np.array([out[b] is None for b in act], dtype=bool)
+        if not keep.all():
+            act, C, beta, P, ll, prev_ll = (act[keep], C[:, keep], beta[:, keep], P[:, keep],
+                                            ll[keep], prev_ll[keep])
+    return out
 
 
 def fit(
@@ -172,62 +348,17 @@ def fit(
     pseudo-inverse.
 
     Raises :class:`RankDeficiencyError`, :class:`SeparationError`, or
-    :class:`ConvergenceError` instead of returning unusable estimates.
+    :class:`ConvergenceError` instead of returning unusable estimates.  The
+    fit is the one-column case of the weighted Newton core the bootstrap
+    uses.
     """
     if isinstance(X, DesignMatrix):
         term_map = X.term_map if term_map is None else term_map
         X, y = X.X, X.y
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, k) and y (n,) with matching n")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("response must be 0/1")
-    if not np.isfinite(X).all():
-        raise ValueError("design matrix has non-finite values")
-    n, k = X.shape
-    if n <= k:
-        raise FitError(f"need more observations than parameters (n={n}, k={k})")
-    _check_rank(X, term_map)
-
-    col_sd = X.std(axis=0)
-    col_scale = np.where(col_sd > 0, col_sd, 1.0)
-    beta = np.zeros(k)
-    ll = log_likelihood(beta, X, y)
-    trace = [ll]
-    iterations = 0
-    while True:
-        score, hessian = score_and_hessian(beta, X, y)
-        converged = iterations > 0 and (
-            abs(trace[-1] - trace[-2]) / (abs(trace[-2]) + 1e-300) < tol
-            and np.abs(score).max() < SCORE_TOL)
-        if not converged and iterations >= max_iter:
-            raise ConvergenceError(f"no convergence after {max_iter} iterations")
-        try:
-            chol = np.linalg.cholesky(-hessian)
-        except np.linalg.LinAlgError as exc:
-            raise FitError("negative Hessian is not positive definite") from exc
-        if converged:
-            break
-        step = _cho_solve(chol, score)
-        # a computed decrease within fp resolution of ll is not a real decrease;
-        # rejecting it would freeze the final score-polishing steps
-        noise = 64.0 * np.finfo(np.float64).eps * (1.0 + abs(ll))
-        for halvings in range(61):  # the full step, then at most 60 halvings
-            new_beta = beta + step * 0.5 ** halvings
-            new_ll = log_likelihood(new_beta, X, y)
-            if not new_ll < ll - noise:
-                break
-        beta, ll = new_beta, new_ll
-        trace.append(ll)
-        iterations += 1
-        _check_separation(beta, X, y, col_scale)
-
-    cov = _cho_solve(chol, np.eye(k))
-    cov = (cov + cov.T) / 2.0
-    return FitResult(beta=beta, cov=cov, ll=ll, ll0=_null_ll(y), n=n, k=k,
-                     iterations=iterations, converged=True, term_map=term_map,
-                     ll_trace=tuple(trace))
+    result, = _newton(X, y, max_iter=max_iter, tol=tol, term_map=term_map)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fit_stats(fr: FitResult) -> FitStats:

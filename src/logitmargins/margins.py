@@ -19,15 +19,17 @@ gradient.  Effects at each row's observed value use a per-row shift override
 (``v = x_i + delta``), and at-means margins run the same code on the single
 row of :func:`mean_design_row`.
 
-Scenarios are evaluated in blocks of about ``BLOCK_BYTES`` of n x S float64,
-so memory stays flat however long the grid.  A nonparametric bootstrap,
-which asks for estimates only, is available as a cross-check.
+Scenarios are evaluated in blocks of at most 16 columns and about
+``BLOCK_BYTES`` of n x S float64, so memory stays flat however long the grid
+and no matrix product's bits depend on the BLAS thread count.  A
+nonparametric bootstrap, which asks for estimates only, is available as a
+cross-check; its replicates are row weights, never resample copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,10 +37,14 @@ import numpy as np
 from .formula import SQUARE, DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
-from .logit import FitError, FitResult, expit, fit, two_sided_p
+from .logit import FitError, FitResult, _newton, expit, fit, two_sided_p
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
 BLOCK_BYTES = 2 << 20  # n x S float64 per block of scenarios
+# the widest n x B operand of a matrix product: up to 16 columns, OpenBLAS
+# gives the same bits at any thread count; it caps a block of scenarios and
+# a block of bootstrap replicates
+_BLOCK_COLUMNS = 16
 
 
 class MarginsError(ValueError):
@@ -141,8 +147,13 @@ def mean_design_row(X: Union[np.ndarray, DesignMatrix], term_map: TermMap) -> np
     column is the square of its variable's mean, keeping the row consistent
     with the substitution semantics.
     """
-    arr = _design_array(X)
-    row = arr.mean(axis=0)
+    return _mean_row(_design_array(X), term_map)
+
+
+def _mean_row(arr: np.ndarray, term_map: TermMap, weights=None) -> np.ndarray:
+    # the mean row of the rows of arr, each counted ``weights`` times if given
+    n = len(arr)
+    row = arr.mean(axis=0) if weights is None else np.einsum("i,ij->j", weights, arr) / n
     for j, c in enumerate(term_map.columns):
         if c.transform == SQUARE:
             m = row[term_map.linear_col(c.source)]
@@ -282,8 +293,14 @@ def _avg(A: np.ndarray, z) -> np.ndarray:
     return (A * z).mean(axis=0) if np.ndim(z) == 2 else z * A.mean(axis=0)
 
 
-def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True):
-    """Row estimates ``L@est`` and, with ``gradients``, their (k, R) gradients."""
+def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=None):
+    """Row estimates ``L@est`` and, with ``gradients``, their (k, R) gradients.
+
+    ``weights`` counts how often each row enters the estimates' row means,
+    as in a bootstrap resample; it applies to estimates only.
+    """
+    if weights is not None and gradients:
+        raise ValueError("row weights apply to estimates only")
     X = plan.rows
     n, k = X.shape
     C = [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]
@@ -312,7 +329,8 @@ def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True):
             D *= F
         else:
             F, D = P, W
-        est[blk] = F.mean(axis=0)
+        est[blk] = (F.mean(axis=0) if weights is None
+                    else np.einsum("i,ij->j", weights, F) / n)
         if not gradients:
             return
         Gb = X.T @ D / n
@@ -327,7 +345,7 @@ def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True):
                 Gb[plan.sq] += 2.0 * _avg(W, u)
         G[:, blk] = Gb
 
-    step = max(1, BLOCK_BYTES // (8 * n))
+    step = max(1, min(_BLOCK_COLUMNS, BLOCK_BYTES // (8 * n)))
     for s0 in range(0, S, step):
         block(slice(s0, s0 + step))
     return plan.L @ est, (G @ plan.L.T if gradients else None)
@@ -375,29 +393,40 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     recomputed per replicate; the reported standard error is the sd of the
     replicate estimates.  Replicate b resamples with
     ``default_rng(child_b).integers(0, n, size=n)`` over
-    ``SeedSequence(seed).spawn(reps)``, in spawn order.  Replicates whose
-    refit fails are recorded and skipped; more than 10% failures is an
-    error.  ``workers`` is accepted for compatibility and ignored: the
-    replicates run in one loop.
+    ``SeedSequence(seed).spawn(reps)``, in spawn order.  No resample is
+    copied: replicate b is the design under the weights
+    ``bincount(idx_b, minlength=n)``, refit in blocks of 16 replicates by the
+    weighted Newton core, and its margins are weighted row means.
+    Replicates whose refit fails are recorded and skipped; more than 10%
+    failures is an error.  ``workers`` is accepted for compatibility and
+    ignored.
     """
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
     full_fit = fit(design)
     plan = _compile(full_fit, design, request)
     full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
-    n = design.n
+    X, n = design.X, design.n
+    atmeans = request.kind in ("apm", "mem")
+    children = np.random.SeedSequence(seed).spawn(reps)
     kept = []
-    # one resample buffer, refilled in place: a fresh n x k array per replicate
-    # page-faults in again whenever the allocator has trimmed the heap
-    Xb = np.empty_like(design.X)
-    for child in np.random.SeedSequence(seed).spawn(reps):
-        idx = np.random.default_rng(child).integers(0, n, size=n)
-        np.take(design.X, idx, axis=0, out=Xb)
-        try:
-            fr = fit(Xb, design.y[idx], term_map=design.term_map)
-            kept.append(_evaluate(_compile(fr, Xb, request), fr.beta, gradients=False)[0])
-        except FitError:
-            pass
+    for b0 in range(0, reps, _BLOCK_COLUMNS):
+        block = children[b0:b0 + _BLOCK_COLUMNS]
+        C = np.empty((n, len(block)))
+        for b, child in enumerate(block):
+            idx = np.random.default_rng(child).integers(0, n, size=n)
+            C[:, b] = np.bincount(idx, minlength=n)
+        for c, fr in zip(C.T, _newton(X, design.y, C, term_map=design.term_map)):
+            if isinstance(fr, FitError):
+                continue
+            if isinstance(fr, Exception):
+                raise fr
+            if atmeans:
+                rows = _mean_row(X, design.term_map, c)[None, :]
+                est, _ = _evaluate(replace(plan, rows=rows), fr.beta, gradients=False)
+            else:
+                est, _ = _evaluate(plan, fr.beta, gradients=False, weights=c)
+            kept.append(est)
 
     failures = reps - len(kept)
     if failures > 0.10 * reps:

@@ -211,7 +211,7 @@ def fd_gradient(f, beta: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def _csv_rows(path):
-    """The header and the non-empty rows of a CSV file."""
+    """The stripped header names and the non-empty rows of a CSV file."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -219,9 +219,11 @@ def _csv_rows(path):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        if len(set(header)) < len(header):
+            raise DataError(f"{path}: column names are not unique")
         return header, [row for row in reader if row]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -40,6 +41,32 @@ def workspace(tmp_path_factory):
                 "--schema", SCHEMA, "--out", str(ws / "m.json"))
     assert r.returncode == 0, r.stderr
     return ws
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(workspace, tmp_path):
+    # every matrix product with a data-sized operand has at most 16 columns,
+    # where OpenBLAS gives the same bits at any thread count
+    data = str(workspace / "s.csv")
+    requests = {"aap": ["--aap", "C(univ)"],
+                "over": ["--over", "C(univ)", "--at", "jif=0:13:0.5"],
+                "boot": ["--aap", "C(univ)", "--vce", "bootstrap", "--reps", "100",
+                         "--seed", "21"]}
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        model = tmp_path / f"m{threads}.json"
+        r = run_cli("fit", "--data", data, "--model", MODEL3, *REFS, "--schema", SCHEMA,
+                    "--out", str(model), env=env)
+        assert r.returncode == 0, r.stderr
+        files = [model]
+        for name, flags in requests.items():
+            table = tmp_path / f"{name}{threads}.tsv"
+            r = run_cli("margins", "--model", str(model), "--data", data, *flags,
+                        "--table", str(table), env=env)
+            assert r.returncode == 0, r.stderr
+            files.append(table)
+        outputs.append([f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
 
 
 def test_synth_rejects_zero_rows(tmp_path):
@@ -315,6 +342,29 @@ def test_fit_reads_a_csv_with_a_byte_order_mark(workspace, tmp_path):
             for p in (workspace / "s.csv", bom)]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_header_names_are_stripped(tmp_path):
+    padded, plain = tmp_path / "padded.csv", tmp_path / "plain.csv"
+    rows = "".join(f"{i % 2},{(i * 7) % 5 - 2.0}\n" for i in range(12))
+    padded.write_text("y, x \n" + rows, encoding="utf-8")
+    plain.write_text("y,x\n" + rows, encoding="utf-8")
+    runs = [run_cli("fit", "--data", str(p), "--model", "y ~ x") for p in (plain, padded)]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = run_cli("summarize", "--data", str(padded)).stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:3]] == ["y", "x"]
+    assert lines[2].startswith("x ")
+
+
+@pytest.mark.parametrize("command", ["fit", "summarize"])
+def test_repeated_header_name_exits_1(tmp_path, command):
+    dup = tmp_path / "dup.csv"
+    dup.write_text("y,x,x\n1,0.5,2\n0,1.5,1\n1,2.5,0\n0,0.5,3\n", encoding="utf-8")
+    flags = ["--model", "y ~ x"] if command == "fit" else []
+    r = run_cli(command, "--data", str(dup), *flags)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [f"error: {dup}: column names are not unique"], r.stderr
 
 
 @pytest.mark.parametrize("command", ["fit", "margins", "summarize"])

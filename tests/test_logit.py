@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
-                                SeparationError, fit, fit_stats, from_json,
-                                log_likelihood, predict, score_and_hessian, to_json)
+                                SeparationError, _newton, _score_hessians, fit, fit_stats,
+                                from_json, log_likelihood, predict, score_and_hessian,
+                                to_json)
 from oracles import fd_gradient, irls_fit
 
 DATA = Path(__file__).parent / "data"
@@ -254,12 +255,80 @@ def test_one_score_hessian_evaluation_per_iteration(name, request, monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return score_and_hessian(*args)
+        return _score_hessians(*args)
 
-    monkeypatch.setattr("logitmargins.logit.score_and_hessian", counted)
+    monkeypatch.setattr("logitmargins.logit._score_hessians", counted)
     fr = fit(X, y)
     assert fr.iterations > 1
     assert len(calls) == fr.iterations + 1
+
+
+@st.composite
+def resample_blocks(draw):
+    """A small design (intercept, a factor level held by 1-5 rows, a binary
+    and a continuous column), its response, a block of resamples of its rows
+    and a tight iteration budget."""
+    n = draw(st.integers(12, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rare = np.zeros(n)
+    rare[:draw(st.integers(1, 5))] = 1.0
+    X = np.column_stack([np.ones(n), rare, rng.integers(0, 2, n), rng.normal(size=n)])
+    y = (rng.random(n) < expit(X @ rng.normal(scale=0.8, size=4))).astype(float)
+    idx = rng.integers(0, n, size=(draw(st.integers(1, 6)), n))
+    return X, y, idx, draw(st.integers(1, 25))
+
+
+def test_convergence_needs_a_small_score():
+    # with tol=1 the likelihood test passes after one step; the score test
+    # alone keeps the fit going
+    X, y, _ = random_problem(9, n=300, k=5)
+    fr = fit(X, y, tol=1.0)
+    assert fr.iterations > 1
+    assert np.abs(score_and_hessian(fr.beta, X, y)[0]).max() < 1e-6
+
+
+def _failure(exc) -> tuple:
+    # a rank failure compares by class: which tied column a pivoted QR names
+    # as dependent can turn on rounding
+    if isinstance(exc, RankDeficiencyError):
+        return (RankDeficiencyError,)
+    return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(resample_blocks())
+def test_weighted_block_matches_each_materialised_resample(case):
+    # each weight column of the batched core fits as fit() does on the copied
+    # resample: the same exception (and message, but for a rank failure), or
+    # the same iteration count and estimates within 1e-10.  Quasi-separated
+    # resamples, whose MLE does not exist, are held to what rounding allows:
+    # - one that converges within the budget has cond(cov) of 1e10-1e12, and
+    #   any change of summation order, even fit() on the resample's rows
+    #   reversed, moves beta and cov by up to ~3e-5 (fits with cond(cov)
+    #   below 1e8 agree within 1e-12);
+    # - where the Hessian's smallest eigenvalue reaches ~1e-17, rounding
+    #   decides whether its Cholesky factor fails (FitError) or one more
+    #   step trips the check on standardized coefficients (SeparationError);
+    #   the bootstrap skips both alike.
+    X, y, idx, max_iter = case
+    C = np.column_stack([np.bincount(i, minlength=len(y)) for i in idx])
+    for i, got in zip(idx, _newton(X, y, C, max_iter=max_iter)):
+        try:
+            want = fit(X[i], y[i], max_iter=max_iter)
+        except (FitError, ValueError) as exc:
+            outcomes = {_failure(e) for e in (got, exc)}
+            assert len(outcomes) == 1 or outcomes == {
+                (FitError, "negative Hessian is not positive definite"),
+                (SeparationError, "quasi-complete separation: a standardized "
+                                  "coefficient exceeds 30")}, (got, exc)
+            continue
+        assert isinstance(got, lm.FitResult), got
+        assert got.iterations == want.iterations and got.ll0 == want.ll0
+        assert got.ll == pytest.approx(want.ll, rel=1e-12)
+        rtol = 1e-10 if np.linalg.cond(want.cov) < 1e8 else 1e-3
+        np.testing.assert_allclose(got.beta, want.beta, rtol=rtol, atol=1e-12)
+        np.testing.assert_allclose(got.cov, want.cov, rtol=rtol,
+                                   atol=1e-12 * np.abs(want.cov).max())
 
 
 @pytest.mark.parametrize("name", ["toy", "random"])

@@ -9,6 +9,7 @@ from scipy.stats import norm
 import logitmargins as lm
 from logitmargins.dataset import Column
 from logitmargins.formula import substitute_matrix
+from logitmargins.logit import _newton
 from logitmargins.margins import (MarginsError, _compile, _evaluate, bootstrap_se,
                                   compute_margins, margins_tsv, mean_design_row, zstar)
 from oracles import ToyModel, fd_gradient
@@ -495,22 +496,36 @@ def test_bootstrap_skips_failed_replicates_under_the_ceiling():
             continue
         est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
     assert 0 < got.failures <= 10 and got.failures == 100 - len(est)
-    assert [r.se for r in got.rows] == np.std(est, axis=0, ddof=1).tolist()
+    # the weighted refits agree with these resample refits up to rounding
+    np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
+                               rtol=1e-12, atol=0)
 
 
-def test_bootstrap_follows_documented_resample_stream(corpus2k):
+def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch):
     # replicate b refits on default_rng(child_b).integers(0, n, size=n) over
     # SeedSequence(seed).spawn(reps), in spawn order; bench/oracle.py relies on it
     fr, design = corpus2k
     req = lm.MarginRequest(kind="aap", target="univ")
+    blocks = []
+
+    def recorded(X, y, C, **kwargs):
+        blocks.append(C.copy())
+        return _newton(X, y, C, **kwargs)
+
+    monkeypatch.setattr("logitmargins.margins._newton", recorded)
     got = bootstrap_se(design, req, reps=100, seed=2)
-    est = []
+    est, counts = [], []
     for child in np.random.SeedSequence(2).spawn(100):
         idx = np.random.default_rng(child).integers(0, design.n, size=design.n)
+        counts.append(np.bincount(idx, minlength=design.n))
         rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
         est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
+    # the refits see the replicates' row counts in spawn order, 16 at a time
+    assert [b.shape[1] for b in blocks] == [16] * 6 + [4]
+    assert np.array_equal(np.hstack(blocks), np.column_stack(counts))
     assert got.failures == 0 and got.replicates == 100
-    assert [r.se for r in got.rows] == np.std(est, axis=0, ddof=1).tolist()
+    np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
+                               rtol=1e-12, atol=0)
 
 
 def test_ci_level_changes_width(toy_fit):
