@@ -13,6 +13,7 @@ from .dataset import readonly_copy
 from .formula import DesignMatrix, TermMap
 
 SCORE_TOL = 1e-6
+_TILE = 16  # the widest output tile of a product summed over the data rows
 _SEPARATION_BETA = 30.0
 _SEPARATION_PROB = 1e-10
 
@@ -151,21 +152,37 @@ def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarra
     return ll.sum(axis=0)
 
 
+def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None):
+    """``a @ b`` summed over the n data rows, in output tiles of at most 16 x 16.
+
+    OpenBLAS splits a wider output between threads in ways that change its
+    bits; a tile gave the same bits at 1 and 2 threads on every design tried
+    (a single-column product at large n aside, see the README).  An output
+    within one tile is a single call.
+    """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], _TILE):
+        for j in range(0, b.shape[1], _TILE):
+            np.matmul(a[i:i + _TILE], b[:, j:j + _TILE], out=out[i:i + _TILE, j:j + _TILE])
+    return out
+
+
 def _score_hessians(X, y, C, P, buf):
     """Scores X'(c(y-p)) as (k, A), and negative Hessians X'diag(c p(1-p))X
     as (A, k, k), of the A fits with probabilities ``P`` and weights ``C``.
 
-    Each Hessian is one product ``buf.T @ X`` with ``buf`` the n x k buffer
-    refilled with the weighted rows.
+    Each Hessian is one tiled product ``buf.T @ X`` with ``buf`` the n x k
+    buffer refilled with the weighted rows.
     """
-    score = X.T @ ((y[:, None] - P) * C)
+    score = _matmul_tiles(X.T, (y[:, None] - P) * C)
     W = 1.0 - P
     W *= P
     W *= C
     neg_h = np.empty((P.shape[1], X.shape[1], X.shape[1]))
     for a in range(P.shape[1]):
         np.multiply(X, W[:, a, None], out=buf)
-        np.matmul(buf.T, X, out=neg_h[a])
+        _matmul_tiles(buf.T, X, out=neg_h[a])
     return score, neg_h
 
 
@@ -255,8 +272,8 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     # weighted column sds, from moments about the full-sample mean: every
     # weighted mean is close to it, so the difference loses no precision
     np.subtract(X, X.mean(axis=0), out=buf)
-    shift = C.T @ buf / n
-    col_var = C.T @ np.square(buf, out=buf) / n - shift * shift
+    shift = _matmul_tiles(C.T, buf) / n
+    col_var = _matmul_tiles(C.T, np.square(buf, out=buf)) / n - shift * shift
     col_sd = np.sqrt(np.maximum(col_var, 0.0)).T
     col_scale = np.where(col_sd > 0, col_sd, 1.0)
 

@@ -19,11 +19,15 @@ gradient.  Effects at each row's observed value use a per-row shift override
 (``v = x_i + delta``), and at-means margins run the same code on the single
 row of :func:`mean_design_row`.
 
-Scenarios are evaluated in blocks of at most 16 columns and about
-``BLOCK_BYTES`` of n x S float64, so memory stays flat however long the grid
-and no matrix product's bits depend on the BLAS thread count.  A
-nonparametric bootstrap, which asks for estimates only, is available as a
-cross-check; its replicates are row weights, never resample copies.
+Scenarios are evaluated in blocks of at most 16 and about ``BLOCK_BYTES``
+of float64, so memory stays flat however long the grid.  A block is stored
+scenario-major, S x n: each scenario's mean is a contiguous row sum, whose
+bits do not depend on the block the scenario falls in.  The gradient
+product ``X.T @ D.T`` reads the transposed block without a copy, in output
+tiles of at most 16 x 16, where OpenBLAS gives the same bits at any thread
+count.  A nonparametric bootstrap, which asks for estimates only, is
+available as a cross-check; its replicates are row weights, never resample
+copies.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ import numpy as np
 from .formula import SQUARE, DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
-from .logit import FitError, FitResult, _newton, expit, fit, two_sided_p
+from .logit import FitError, FitResult, _matmul_tiles, _newton, expit, fit, two_sided_p
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
-BLOCK_BYTES = 2 << 20  # n x S float64 per block of scenarios
-# the widest n x B operand of a matrix product: up to 16 columns, OpenBLAS
-# gives the same bits at any thread count; it caps a block of scenarios and
-# a block of bootstrap replicates
+BLOCK_BYTES = 2 << 20  # S x n float64 per block of scenarios
+# scenarios, or bootstrap replicates, per block; the replicates' linear
+# predictors are one n x B product, whose bits OpenBLAS keeps at any thread
+# count up to 16 columns
 _BLOCK_COLUMNS = 16
 
 
@@ -288,9 +292,9 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
 
 # --- the counterfactual kernel ----------------------------------------------
 
-def _avg(A: np.ndarray, z) -> np.ndarray:
-    # column means of A * z for a per-row (n, S) or per-scenario (S,) z
-    return (A * z).mean(axis=0) if np.ndim(z) == 2 else z * A.mean(axis=0)
+def _avg(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # row means of A * z for a per-element (S, n) or per-scenario (S, 1) z
+    return (A * z).mean(axis=1) if z.shape[1] > 1 else z[:, 0] * A.mean(axis=1)
 
 
 def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=None):
@@ -308,16 +312,17 @@ def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=
     b_lin = beta[plan.lin] if plan.lin is not None else 0.0
     b_sq = beta[plan.sq] if plan.sq is not None else 0.0
     fixed = plan.fvals @ beta[plan.fcols]
-    own = X[:, plan.lin, None] if plan.shift else 0.0
+    own = X[:, plan.lin] if plan.shift else 0.0
     S = len(plan.values)
     est = np.empty(S)
     G = np.empty((k, S))
 
-    # a function per block, so that a block's n x S arrays are freed before
-    # the next block allocates its own
+    # a function per block, so that a block's S x n arrays are freed before
+    # the next block allocates its own; scenarios are rows, so each
+    # per-scenario mean is a contiguous row sum
     def block(blk: slice):
-        u = own + plan.values[blk]
-        eta = r[:, None] + (fixed[blk] + b_lin * u + b_sq * (u * u))
+        u = plan.values[blk, None] + own
+        eta = r + (fixed[blk, None] + b_lin * u + b_sq * (u * u))
         P = expit(eta, out=eta)
         W = 1.0 - P
         W *= P
@@ -329,16 +334,17 @@ def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=
             D *= F
         else:
             F, D = P, W
-        est[blk] = (F.mean(axis=0) if weights is None
-                    else np.einsum("i,ij->j", weights, F) / n)
+        est[blk] = (F.mean(axis=1) if weights is None
+                    else np.einsum("ji,i->j", F, weights) / n)
         if not gradients:
             return
-        Gb = X.T @ D / n
-        Gb[plan.fcols] = plan.fvals[blk].T * D.mean(axis=0)
+        Gb = _matmul_tiles(X.T, D.T)
+        Gb /= n
+        Gb[plan.fcols] = plan.fvals[blk].T * D.mean(axis=1)
         if plan.lin is not None:
             Gb[plan.lin] = _avg(D, u)
             if plan.slope:
-                Gb[plan.lin] += W.mean(axis=0)
+                Gb[plan.lin] += W.mean(axis=1)
         if plan.sq is not None:
             Gb[plan.sq] = _avg(D, u * u)
             if plan.slope:

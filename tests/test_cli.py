@@ -43,20 +43,14 @@ def workspace(tmp_path_factory):
     return ws
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(workspace, tmp_path):
-    # every matrix product with a data-sized operand has at most 16 columns,
-    # where OpenBLAS gives the same bits at any thread count
-    data = str(workspace / "s.csv")
-    requests = {"aap": ["--aap", "C(univ)"],
-                "over": ["--over", "C(univ)", "--at", "jif=0:13:0.5"],
-                "boot": ["--aap", "C(univ)", "--vce", "bootstrap", "--reps", "100",
-                         "--seed", "21"]}
+def outputs_at_1_and_2_threads(tmp_path, data, fit_flags, requests) -> list:
+    """The bytes of ``fit`` and of each ``margins`` request's table, at
+    ``OPENBLAS_NUM_THREADS`` 1 and 2."""
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         model = tmp_path / f"m{threads}.json"
-        r = run_cli("fit", "--data", data, "--model", MODEL3, *REFS, "--schema", SCHEMA,
-                    "--out", str(model), env=env)
+        r = run_cli("fit", "--data", data, *fit_flags, "--out", str(model), env=env)
         assert r.returncode == 0, r.stderr
         files = [model]
         for name, flags in requests.items():
@@ -66,6 +60,45 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(workspace, tmp_path):
             assert r.returncode == 0, r.stderr
             files.append(table)
         outputs.append([f.read_bytes() for f in files])
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(workspace, tmp_path):
+    # every product summed over the data rows has an output of at most 16 x 16,
+    # where OpenBLAS gave the same bits at 1 and 2 threads on every design tried
+    requests = {"aap": ["--aap", "C(univ)"],
+                "over": ["--over", "C(univ)", "--at", "jif=0:13:0.5"],
+                "boot": ["--aap", "C(univ)", "--vce", "bootstrap", "--reps", "100",
+                         "--seed", "21"]}
+    outputs = outputs_at_1_and_2_threads(
+        tmp_path, str(workspace / "s.csv"), ["--model", MODEL3, *REFS, "--schema", SCHEMA],
+        requests)
+    assert outputs[0] == outputs[1]
+
+
+def test_outputs_of_a_wide_model_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # k = 22: the Hessian, score and margin gradients span several 16 x 16 tiles
+    n, n_cont = 3000, 12
+    rng = np.random.default_rng(5)
+    f, g = rng.integers(0, 6, n), rng.integers(0, 4, n)
+    x = rng.normal(size=(n, n_cont))
+    eta = -0.5 + 0.3 * (f == 2) - 0.2 * g + x @ rng.normal(scale=0.3, size=n_cont)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+    names = [f"x{j}" for j in range(1, n_cont + 1)]
+    lines = [",".join(["y", "f", "g", *names])]
+    lines += [",".join([str(y[i]), f"f{f[i]}", f"g{g[i]}", *map(repr, x[i].tolist())])
+              for i in range(n)]
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(lines) + "\n")
+    model = "y ~ C(f) + C(g) + " + " + ".join(names) + " + x1^2"
+    schema = ",".join(["y:binary", "f:categorical[f0|f1|f2|f3|f4|f5]",
+                       "g:categorical[g0|g1|g2|g3]", *(f"{v}:continuous" for v in names)])
+    requests = {"over": ["--over", "C(f)", "--at", "x1=-2:2:0.25"],
+                "boot": ["--aap", "C(f)", "--vce", "bootstrap", "--reps", "100",
+                         "--seed", "21"]}
+    outputs = outputs_at_1_and_2_threads(
+        tmp_path, str(data), ["--model", model, "--schema", schema], requests)
+    assert json.loads(outputs[0][0])["k"] == 22
     assert outputs[0] == outputs[1]
 
 

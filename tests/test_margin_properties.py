@@ -6,14 +6,17 @@ request of any kind.  Coefficients and covariance are drawn directly rather
 than fitted: the margin computation never needs them to be a maximum of the
 likelihood, and every draw is then usable.  A last property draws requests
 with any fields at all: each is rejected, or reads every field it sets.
+Another runs requests of more than 16 scenarios at several block widths.
 """
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 import logitmargins as lm
+from logitmargins import margins
 from logitmargins.dataset import Column
 from logitmargins.margins import (MarginRequest, MarginsError, _compile, _evaluate,
                                   compute_margins)
@@ -185,6 +188,38 @@ def test_kernel_gradients_match_finite_differences(case):
         fd = fd_gradient(lambda b: _evaluate(plan, b, gradients=False)[0][r], fr.beta)
         scale = max(1e-12, float(np.max(np.abs(grad[:, r]))))
         assert np.max(np.abs(grad[:, r] - fd)) / scale < 1e-6
+
+
+# requests over a long grid: aprv and merv by g make 27-60 scenarios, more
+# than one block of 16; aap and ame of x make 9-15, split at widths 1 and 5
+LONG_GRID_SHAPES = (("aprv", "g"), ("merv", "g"), ("aap", "x"), ("ame", "x"))
+
+
+@given(toy_fits(), st.sampled_from(LONG_GRID_SHAPES),
+       st.lists(st.sampled_from(GRID_POINTS), min_size=9, max_size=15, unique=True),
+       st.data())
+def test_estimates_do_not_depend_on_the_scenario_block(fit_case, shape, grid, data):
+    fr, design, _ = fit_case
+    request = MarginRequest(*shape, at=("x", tuple(sorted(grid))))
+    plan = _compile(fr, design, request)
+    counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=design.n,
+                                         max_size=design.n), label="weights"), dtype=float)
+    results = []
+    for width in (1, 5, 16):
+        with patch.object(margins, "_BLOCK_COLUMNS", width):
+            est, grad = _evaluate(plan, fr.beta)
+            weighted, _ = _evaluate(plan, fr.beta, gradients=False, weights=counts)
+            se = [row.se for row in compute_margins(fr, design, request)]
+        results.append((est, weighted, grad, np.array(se)))
+    est, weighted, grad, se = results[-1]
+    for other in results[:-1]:
+        # each scenario's mean is a row sum, whatever block the row sits in
+        assert other[0].tobytes() == est.tobytes()
+        assert other[1].tobytes() == weighted.tobytes()
+        # relative to the largest entry: a gradient entry can cancel to near 0
+        np.testing.assert_allclose(other[2], grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max())
+        np.testing.assert_allclose(other[3], se, rtol=1e-12, atol=1e-12 * se.max())
 
 
 DEFAULTS = {"levels": None, "base": None, "at": None, "ci_level": 0.95, "discrete": False}
