@@ -101,15 +101,11 @@ def cmd_fit(args) -> int:
     except FormulaError as exc:
         _caret(args.model, exc)
         return 2
-    try:
-        schema = _parse_schema_arg(args.schema) if args.schema else _schema_from_formula(spec)
-        ds = _load_data(args.data, schema)
-        design = build_design(ds, spec, reference=_parse_refs(args.ref))
-        fr = logit_mod.fit(design, max_iter=args.max_iter, tol=args.tol)
-        stats = logit_mod.fit_stats(fr)
-    except (DataError, FormulaError, logit_mod.FitError) as exc:
-        _err(str(exc))
-        return 1
+    schema = _parse_schema_arg(args.schema) if args.schema else _schema_from_formula(spec)
+    ds = _load_data(args.data, schema)
+    design = build_design(ds, spec, reference=_parse_refs(args.ref))
+    fr = logit_mod.fit(design, max_iter=args.max_iter, tol=args.tol)
+    stats = logit_mod.fit_stats(fr)
 
     labels = design.term_map.labels
     width = max(len(l) for l in labels) + 2
@@ -127,12 +123,8 @@ def cmd_fit(args) -> int:
     print("* p < 0.05, ** p < 0.01, *** p < 0.001")
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(logit_mod.to_json(fr, args.model))
-        except OSError as exc:
-            _err(str(exc))
-            return 1
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(logit_mod.to_json(fr, args.model))
     return 0
 
 
@@ -261,34 +253,27 @@ def cmd_margins(args) -> int:
         with open(args.model, "r", encoding="utf-8") as fh:
             fr, formula_text = logit_mod.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        _err(f"cannot read model JSON {args.model}: {exc}")
-        return 1
+        raise DataError(f"cannot read model JSON {args.model}: {exc}") from None
     try:
         spec = parse_formula(formula_text)
     except FormulaError as exc:
         _caret(formula_text, exc)
         return 2
-    try:
-        # the stored level order pins the dummy coding; an unseen level is an error
-        ds = _load_data(args.data, _schema_from_formula(spec, fr.term_map.factor_levels))
-        design = build_design(ds, spec, reference=fr.term_map.reference)
-        if design.term_map != fr.term_map:
-            raise FormulaError(f"the term map in {args.model} does not match "
-                               "its formula")
-        requests = _build_requests(args)
-        rows = []
-        for req in requests:
-            if args.vce == "bootstrap":
-                res = mg.bootstrap_se(design, req, args.reps, args.seed)
-                rows.extend(res.rows)
-                if res.failures:
-                    print(f"note: {res.failures}/{res.replicates} bootstrap "
-                          "replicates failed and were skipped", file=sys.stderr)
-            else:
-                rows.extend(mg.compute_margins(fr, design, req))
-    except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError) as exc:
-        _err(str(exc))
-        return 1
+    # the stored level order pins the dummy coding; an unseen level is an error
+    ds = _load_data(args.data, _schema_from_formula(spec, fr.term_map.factor_levels))
+    design = build_design(ds, spec, reference=fr.term_map.reference)
+    if design.term_map != fr.term_map:
+        raise FormulaError(f"the term map in {args.model} does not match its formula")
+    rows = []
+    for req in _build_requests(args):
+        if args.vce == "bootstrap":
+            res = mg.bootstrap_se(design, req, args.reps, args.seed)
+            rows.extend(res.rows)
+            if res.failures:
+                print(f"note: {res.failures}/{res.replicates} bootstrap "
+                      "replicates failed and were skipped", file=sys.stderr)
+        else:
+            rows.extend(mg.compute_margins(fr, design, req))
 
     flagged = [r for r in rows if r.extrapolated]
     if flagged:
@@ -299,29 +284,20 @@ def cmd_margins(args) -> int:
               f"range at {vals}{more}", file=sys.stderr)
 
     print(_human_margins(rows))
-    try:
-        if args.table:
-            with open(args.table, "w", encoding="utf-8") as fh:
-                fh.write(mg.margins_tsv(rows))
-        if args.plot:
-            predictions = all(not r.label.startswith(("AME", "MEM", "MERV"))
-                              for r in rows)
-            at_var = _parse_at(args.at)[0] if args.at else ""
-            _plot_rows(rows, args.plot, at_var, predictions)
-    except (OSError, mg.MarginsError) as exc:
-        _err(str(exc))
-        return 1
+    if args.table:
+        with open(args.table, "w", encoding="utf-8") as fh:
+            fh.write(mg.margins_tsv(rows))
+    if args.plot:
+        predictions = all(not r.label.startswith(("AME", "MEM", "MERV")) for r in rows)
+        at_var = _parse_at(args.at)[0] if args.at else ""
+        _plot_rows(rows, args.plot, at_var, predictions)
     return 0
 
 
 def cmd_summarize(args) -> int:
-    try:
-        ds = _load_data(args.data, _parse_schema_arg(args.schema) if args.schema
-                        else ds_mod.sniff_schema(args.data))
-        table = ds_mod.summarize(ds)
-    except DataError as exc:
-        _err(str(exc))
-        return 1
+    ds = _load_data(args.data, _parse_schema_arg(args.schema) if args.schema
+                    else ds_mod.sniff_schema(args.data))
+    table = ds_mod.summarize(ds)
     print(f"{'variable':<28}{'%/mean':>10}{'sd':>10}{'min':>10}{'max':>10}")
     for row in table.rows:
         name = row.variable if row.level is None else f"{row.variable}={row.level}"
@@ -337,14 +313,10 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        cfg = synth_mod.default_config(args.n, args.seed, correlated=args.correlated,
-                                       coeffs=args.coeffs)
-        ds = synth_mod.generate(cfg)
-        ds_mod.to_csv(ds, args.out)
-    except (synth_mod.SynthError, DataError, FormulaError, OSError) as exc:
-        _err(str(exc))
-        return 1
+    cfg = synth_mod.default_config(args.n, args.seed, correlated=args.correlated,
+                                   coeffs=args.coeffs)
+    ds = synth_mod.generate(cfg)
+    ds_mod.to_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}", file=sys.stderr)
     return 0
 
@@ -408,8 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exit status 0 on success; 1 with one ``error:`` line
+    for a library error or an unreadable or unwritable file; 2 for a usage or
+    formula syntax error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError,
+            synth_mod.SynthError, OSError) as exc:
+        _err(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import Dataset, readonly_copy
+from .dataset import DataError, Dataset, readonly_copy
 
 
 class FormulaError(ValueError):
@@ -300,7 +300,8 @@ def build_design(
     pins the order and makes an unseen level a :class:`DataError`, and pass
     the stored ``term_map.reference``.  ``reference`` overrides the
     reference level per factor (default: the first level); a key that is
-    not a factor term of ``spec`` raises :class:`FormulaError`.
+    not a factor term of ``spec`` raises :class:`FormulaError`.  A squared
+    term that overflows raises :class:`DataError`.
     """
     reference = dict(reference or {})
     factors = {t.var for t in spec.terms if t.transform == INDICATOR}
@@ -348,7 +349,11 @@ def build_design(
             if col.kind != "continuous":
                 raise FormulaError(f"squared term needs a continuous column, got {col.kind}")
             roles.append(ColumnRole(term.var, SQUARE))
-            cols.append(col.values.astype(np.float64) ** 2)
+            with np.errstate(over="ignore"):
+                cols.append(col.values.astype(np.float64) ** 2)
+            if not np.isfinite(cols[-1]).all():
+                raise DataError(f"squared term {roles[-1].label} overflows: some |{term.var}| "
+                                f"exceeds {np.sqrt(np.finfo(np.float64).max):.4g}")
 
     term_map = TermMap(columns=tuple(roles), reference=refmap, factor_levels=levmap)
     X = np.column_stack(cols)

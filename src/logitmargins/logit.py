@@ -207,7 +207,8 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _separation(beta, col_scale, p, y, C) -> list:
-    """The :class:`SeparationError` of each fit, or None.
+    """The separation verdict of each fit: a :class:`SeparationError`
+    message, or None.
 
     A fit is a column of ``beta``, ``p`` and the weights ``C``; the fitted
     probabilities are checked only on rows with a positive weight.
@@ -219,17 +220,9 @@ def _separation(beta, col_scale, p, y, C) -> list:
     pinned = (ones.any(axis=0) & zeros.any(axis=0)
               & ((p >= 1.0 - _SEPARATION_PROB) | ~ones).all(axis=0)
               & ((p <= _SEPARATION_PROB) | ~zeros).all(axis=0))
-    errors = []
-    for q, pin in zip(quasi, pinned):
-        if q:
-            errors.append(SeparationError(
-                "quasi-complete separation: a standardized coefficient exceeds 30"))
-        elif pin:
-            errors.append(SeparationError(
-                "complete separation: fitted probabilities are pinned at 0/1"))
-        else:
-            errors.append(None)
-    return errors
+    return ["quasi-complete separation: a standardized coefficient exceeds 30" if q
+            else "complete separation: fitted probabilities are pinned at 0/1" if pin
+            else None for q, pin in zip(quasi, pinned)]
 
 
 def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
@@ -242,10 +235,11 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     a fit of its materialised resample runs (see :func:`fit`), from
     ``sqrt(c)*X`` for the rank check and weighted sums elsewhere, so it
     gives that fit's iterations and exceptions and its estimates up to
-    rounding.  The fits iterate together; one that converges or fails
-    leaves the active set.  Returns one :class:`FitResult`, or the
-    exception that fit raised, per column.  An invalid ``X`` or ``y`` raises
-    at once, for the whole block.
+    rounding.  The fits iterate together.  After each evaluation of their
+    scores and Hessians, one verdict per fit decides whether it converged or
+    failed, and such a fit leaves the active set.  Returns one
+    :class:`FitResult`, or the exception that fit raised, per column.  An
+    invalid ``X`` or ``y`` raises at once, for the whole block.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -283,19 +277,23 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     P = np.full((n, act.size), 0.5)  # expit(0)
     ll = prev_ll = _log_likelihoods(np.zeros_like(P), y, C)
     traces = {b: [v] for b, v in zip(act, ll)}
+    # what the last step found, read by the next verdict
+    finite, separated = np.ones(act.size, dtype=bool), [None] * act.size
     iterations = 0
     while act.size:
         score, neg_h = _score_hessians(X, y, C, P, buf)
         converged = ((np.abs(ll - prev_ll) / (np.abs(prev_ll) + 1e-300) < tol)
                      & (np.abs(score).max(axis=0) < SCORE_TOL) & (iterations > 0))
-        if iterations >= max_iter:
-            for a in np.flatnonzero(~converged):
-                out[act[a]] = ConvergenceError(f"no convergence after {max_iter} iterations")
         chol = _cholesky(neg_h)
+        # the one verdict per fit, in order of precedence
         for a, b in enumerate(act):
-            if out[b] is not None:
-                continue
-            if isinstance(chol[a], np.linalg.LinAlgError):
+            if not finite[a]:
+                out[b] = ValueError("non-finite coefficient vector")
+            elif separated[a]:
+                out[b] = SeparationError(separated[a])
+            elif iterations >= max_iter and not converged[a]:
+                out[b] = ConvergenceError(f"no convergence after {max_iter} iterations")
+            elif isinstance(chol[a], np.linalg.LinAlgError):
                 out[b] = FitError("negative Hessian is not positive definite")
                 out[b].__cause__ = chol[a]
             elif converged[a]:
@@ -314,9 +312,7 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
 
         step = _cho_solve(np.stack(chol), score.T[:, :, None])[:, :, 0].T
         finite = np.isfinite(beta + step).all(axis=0)
-        for a in np.flatnonzero(~finite):
-            out[act[a]] = ValueError("non-finite coefficient vector")
-        step[:, ~finite] = 0.0  # that fit leaves below; its arithmetic stays finite
+        step[:, ~finite] = 0.0  # that fit leaves at the next verdict; keep it finite
         # a computed decrease within fp resolution of ll is not a real decrease;
         # rejecting it would freeze the final score-polishing steps
         noise = 64.0 * np.finfo(np.float64).eps * (1.0 + np.abs(ll))
@@ -335,13 +331,7 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
         iterations += 1
         for b, v in zip(act, ll):
             traces[b].append(v)
-        for b, err in zip(act, _separation(beta, col_scale[:, act], P, y, C)):
-            if out[b] is None:
-                out[b] = err
-        keep = np.array([out[b] is None for b in act], dtype=bool)
-        if not keep.all():
-            act, C, beta, P, ll, prev_ll = (act[keep], C[:, keep], beta[:, keep], P[:, keep],
-                                            ll[keep], prev_ll[keep])
+        separated = _separation(beta, col_scale[:, act], P, y, C)
     return out
 
 

@@ -168,18 +168,35 @@ def generate(cfg: SynthConfig) -> Dataset:
 
 
 def load_coefficients(path_or_name: str) -> tuple[str, dict[str, float]]:
-    """Load a coefficient file: a path, or the name of a bundled resource."""
+    """Load a coefficient file: a path, or the name of a bundled resource.
+
+    The file is a JSON object ``{"formula": str, "coefficients": {label:
+    number}}``; anything else raises :class:`SynthError` naming the file.
+    """
     try:
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+        with open(path_or_name, "rb") as fh:
+            raw = fh.read()
     except OSError:
         ref = resources.files("logitmargins").joinpath("data", path_or_name)
         try:
-            d = json.loads(ref.read_text(encoding="utf-8"))
-        except (FileNotFoundError, OSError):
+            raw = ref.read_bytes()
+        except OSError:
             raise SynthError(f"no coefficient file {path_or_name!r} on disk or bundled") \
                 from None
-    return d["formula"], {k: float(v) for k, v in d["coefficients"].items()}
+    try:
+        d = json.loads(raw)
+    except ValueError as exc:
+        raise SynthError(f"coefficient file {path_or_name!r} is not JSON: {exc}") from None
+    if not (isinstance(d, dict) and isinstance(d.get("formula"), str)
+            and isinstance(d.get("coefficients"), dict)):
+        raise SynthError(f"coefficient file {path_or_name!r} must be an object with a "
+                         "\"formula\" string and a \"coefficients\" object")
+    coefficients = d["coefficients"]
+    for label, v in coefficients.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SynthError(f"coefficient file {path_or_name!r}: coefficient {label!r} "
+                             f"is not a number, got {v!r}")
+    return d["formula"], {k: float(v) for k, v in coefficients.items()}
 
 
 # university shares 7.4/3.3/55.4/33.9, subjects 11.4/10.7/77.9, document types

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import logitmargins as lm
+from logitmargins import cli
 
 MODEL3 = ("top10 ~ C(univ) + C(subject) + C(doctype) + jif + jif^2 + years "
           "+ authors + pages + pages^2")
@@ -531,3 +532,67 @@ assert not loaded, ("after fit and margins", loaded)
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert "AAP univ=univ1" in r.stdout, r.stdout
+
+
+# main() is the one place that turns these into one `error:` line and exit 1
+BOUNDARY = ("DataError", "FormulaError", "FitError", "MarginsError", "SynthError", "OSError")
+VALID = {"fit": ["--data", "{data}", "--model", MODEL1],
+         "margins": ["--model", "{model}", "--data", "{data}", "--aap", "C(univ)"],
+         "summarize": ["--data", "{data}"],
+         "synth": ["--n", "10", "--seed", "1", "--out", "{tmp}/x.csv"]}
+# a real input that fails with the class, where one exists, and its message
+REAL = {
+    ("fit", "DataError"): (["--data", "{big}", "--model", "y ~ x + x^2"],
+                           "squared term x^2 overflows: some |x| exceeds 1.341e+154"),
+    ("fit", "FormulaError"): (["--data", "{data}", "--model", MODEL1, "--ref", "nope=univ1"],
+                              "reference level given for 'nope'"),
+    ("fit", "FitError"): (["--data", "{separated}", "--model", "y ~ x"], "separation"),
+    ("fit", "OSError"): (["--data", "{data}", "--model", MODEL1, "--out", "{missing}"],
+                         "No such file"),
+    ("margins", "DataError"): (["--model", "{model}", "--data", "{missing}", "--aap",
+                                "C(univ)"], "cannot read"),
+    ("margins", "FormulaError"): (["--model", "{model}", "--data", "{univ1}", "--aap",
+                                   "C(univ)"], "fewer than 2 observed levels"),
+    ("margins", "MarginsError"): (["--model", "{model}", "--data", "{data}", "--at",
+                                   "foo=0:2:1"], "'foo' is not a continuous variable"),
+    ("margins", "OSError"): (VALID["margins"] + ["--table", "{missing}"], "No such file"),
+    ("summarize", "DataError"): (["--data", "{missing}"], "cannot read"),
+    ("synth", "FormulaError"): (["--coeffs", "{formula}"] + VALID["synth"], "position 7"),
+    ("synth", "SynthError"): (["--coeffs", "{notjson}"] + VALID["synth"], "is not JSON"),
+    ("synth", "OSError"): (["--n", "10", "--seed", "1", "--out", "{missing}"], "No such file"),
+}
+# otherwise the binding each command resolves by name raises it
+PATCHED = {"fit": "logitmargins.cli.build_design", "margins": "logitmargins.cli.build_design",
+           "summarize": "logitmargins.dataset.summarize", "synth": "logitmargins.synth.generate"}
+
+
+@pytest.mark.parametrize("error", BOUNDARY)
+@pytest.mark.parametrize("command", list(VALID))
+def test_each_library_error_is_one_error_line(workspace, tmp_path, monkeypatch, capsys,
+                                              command, error):
+    csv = workspace / "s.csv"
+    header, *rows = csv.read_text().splitlines(keepends=True)
+    paths = {"data": csv, "model": workspace / "m.json", "tmp": tmp_path,
+             "missing": tmp_path / "no" / "such", "big": tmp_path / "big.csv",
+             "separated": tmp_path / "sep.csv", "univ1": tmp_path / "univ1.csv",
+             "formula": tmp_path / "formula.json", "notjson": tmp_path / "notjson.json"}
+    paths["big"].write_text("y,x\n1,1e200\n0,1\n1,2\n0,3\n")
+    paths["separated"].write_text("y,x\n0,1\n0,2\n1,3\n1,4\n")
+    paths["univ1"].write_text(header + "".join(r for r in rows if ",univ1," in r))
+    paths["formula"].write_text('{"formula": "y ~ x +", "coefficients": {}}')
+    paths["notjson"].write_text("not json")
+    if (command, error) in REAL:
+        flags, message = REAL[command, error]
+    else:
+        cls = OSError if error == "OSError" else getattr(lm, error)
+
+        def fail(*args, **kwargs):
+            raise cls("injected")
+
+        monkeypatch.setattr(PATCHED[command], fail)
+        flags, message = VALID[command], "injected"
+    code = cli.main([command, *(f.format(**paths) for f in flags)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+

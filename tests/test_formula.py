@@ -183,6 +183,16 @@ def test_build_design_errors(toy_ds):
         build_design(single, parse_formula("y ~ C(g) + x"))
 
 
+def test_overflowing_square_is_named():
+    ds = lm.Dataset("big", (Column("y", "binary", np.array([1.0, 0.0, 1.0])),
+                            Column("x", "continuous", np.array([1.0, 1e200, 2.0]))))
+    # pyproject turns the overflow warning into an error, so this also checks
+    # that the warning is silenced
+    with pytest.raises(lm.DataError, match=r"squared term x\^2 overflows"):
+        build_design(ds, parse_formula("y ~ x + x^2"))
+    assert build_design(ds, parse_formula("y ~ x")).X[1, 1] == 1e200
+
+
 def test_substitute_factor(toy_ds):
     design = build_design(toy_ds, parse_formula("y ~ C(g) + x + x^2"))
     tm = design.term_map

@@ -135,12 +135,41 @@ def test_needs_more_rows_than_columns():
         fit(X, np.array([1.0, 0, 1]))
 
 
+def halving_design():
+    """A design whose fit halves its step at iteration 4 of 8: y ~ x + x^2 on
+    n=148 rows with lognormal x.  It is seed 324 of a seeded family (n drawn
+    from 100-200, x from lognormal(0, sigma) with sigma from U(0.5, 1.5), the
+    true beta from N(0, diag(1, 1, 0.09))), where about one fit in a
+    thousand halves a step; the first step never does, because -H(0) =
+    X'X/4 bounds the curvature (Boehning & Lindsay 1988)."""
+    ds = lm.load_csv(DATA / "halving148.csv", [("y", "binary"), ("x", "continuous")])
+    return lm.build_design(ds, lm.parse_formula("y ~ x + x^2"))
+
+
 def test_ll_trace_nondecreasing(toy_fit, corpus15k_fit):
-    for fr in (toy_fit[0], corpus15k_fit[0]):
+    for fr in (toy_fit[0], corpus15k_fit[0], fit(halving_design())):
         diffs = np.diff(fr.ll_trace)
         # allow decreases only at fp resolution of the log-likelihood
         assert (diffs >= -1e-9 * (1 + abs(fr.ll))).all()
         assert fr.ll >= fr.ll0
+
+
+def test_a_full_step_that_lowers_the_likelihood_is_halved():
+    design = halving_design()
+    X, y = design.X, design.y
+    fr = fit(design)
+
+    def full_step(beta):
+        score, hessian = score_and_hessian(beta, X, y)
+        return beta - np.linalg.solve(hessian, score)
+
+    beta = np.zeros(3)
+    for j in (1, 2, 3):  # the fit takes the full step up to iteration 3
+        beta = full_step(beta)
+        assert log_likelihood(beta, X, y) == pytest.approx(fr.ll_trace[j], rel=1e-9)
+    # the full step at iteration 4 lowers the log-likelihood; the fit's step does not
+    assert log_likelihood(full_step(beta), X, y) < fr.ll_trace[3] - 1.0
+    assert fr.ll_trace[4] > fr.ll_trace[3]
 
 
 def test_estimates_invariant_under_row_permutation(toy_fit, toy_ds):

@@ -152,6 +152,25 @@ def test_load_coefficients_bundled_and_path(tmp_path):
         load_coefficients("missing.json")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("not json", "is not JSON"),
+    ("[1, 2]", "must be an object"),
+    ('{"x": 1}', "must be an object"),
+    ('{"formula": "y ~ x"}', "must be an object"),
+    ('{"coefficients": {"x": 1}}', "must be an object"),
+    ('{"formula": "y ~ x", "coefficients": {"intercept": 0, "x": "1"}}',
+     "coefficient 'x' is not a number"),
+    ('{"formula": "y ~ x", "coefficients": {"intercept": 0, "x": true}}',
+     "coefficient 'x' is not a number"),
+])
+def test_malformed_coefficient_file_is_named(tmp_path, text, message):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(SynthError, match=message) as exc:
+        load_coefficients(str(p))
+    assert str(p) in str(exc.value)
+
+
 def test_generate_is_pure(corpus15k):
     cfg, ds = corpus15k
     again = generate(cfg)
