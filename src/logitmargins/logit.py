@@ -124,7 +124,7 @@ def _null_ll(ybar: float, n: int) -> float:
 
 def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
     n, k = X.shape
-    sv = np.linalg.svd(np.linalg.qr(X, mode="r"), compute_uv=False)
+    sv = np.linalg.svd(X, compute_uv=False)
     tol = sv.max() * max(n, k) * np.finfo(np.float64).eps if sv.size else 0.0
     rank = int((sv > tol).sum())
     if rank < k:
@@ -140,16 +140,16 @@ def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
 
 
 def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Per column of ``eta``, sum(c*(y*eta - softplus(eta))) under the weights ``C``."""
+    """Per row of ``eta``, sum(c*(y*eta - softplus(eta))) under the weights ``C``."""
     # softplus(eta) = max(eta, 0) + log1p(exp(-|eta|)), finite for eta = +-800;
     # the vectorised exp and log1p are several times faster than np.logaddexp
     ll = np.abs(eta)
     np.negative(ll, out=ll)
     np.log1p(np.exp(ll, out=ll), out=ll)
     ll += np.maximum(eta, 0.0)
-    np.subtract(y[:, None] * eta, ll, out=ll)
+    np.subtract(y * eta, ll, out=ll)
     ll *= C
-    return ll.sum(axis=0)
+    return ll.sum(axis=1)
 
 
 def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None):
@@ -169,36 +169,39 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
 
 
 def _score_hessians(X, y, C, P, buf):
-    """Scores X'(c(y-p)) as (k, A), and negative Hessians X'diag(c p(1-p))X
-    as (A, k, k), of the A fits with probabilities ``P`` and weights ``C``.
+    """Scores (c(y-p))'X as (A, k), negative Hessians X'diag(c p(1-p))X as
+    (A, k, k), and residuals y - p as (A, n), of the A fits whose
+    probabilities and weights are the rows of ``P`` and ``C``.
 
     Each Hessian is one tiled product ``buf.T @ X`` with ``buf`` the n x k
     buffer refilled with the weighted rows.
     """
-    score = _matmul_tiles(X.T, (y[:, None] - P) * C)
+    resid = y - P
+    score = _matmul_tiles(resid * C, X)
     W = 1.0 - P
     W *= P
     W *= C
-    neg_h = np.empty((P.shape[1], X.shape[1], X.shape[1]))
-    for a in range(P.shape[1]):
-        np.multiply(X, W[:, a, None], out=buf)
+    neg_h = np.empty((len(P), X.shape[1], X.shape[1]))
+    for a, w in enumerate(W):
+        np.multiply(X, w[:, None], out=buf)
         _matmul_tiles(buf.T, X, out=neg_h[a])
-    return score, neg_h
+    return score, neg_h, resid
 
 
-def _cholesky(A: np.ndarray) -> list:
-    """The lower Cholesky factor of each of the stacked matrices ``A``, or
-    the ``LinAlgError`` of one that is not positive definite."""
+def _cholesky(A: np.ndarray):
+    """The lower Cholesky factors of the stacked matrices ``A``, the identity
+    standing in for one that is not positive definite, and each matrix's
+    ``LinAlgError`` or None."""
     try:
-        return list(np.linalg.cholesky(A))
+        return np.linalg.cholesky(A), [None] * len(A)
     except np.linalg.LinAlgError:
-        out = []
-        for a in A:
+        L, errors = np.empty_like(A), [None] * len(A)
+        for a, m in enumerate(A):
             try:
-                out.append(np.linalg.cholesky(a))
+                L[a] = np.linalg.cholesky(m)
             except np.linalg.LinAlgError as exc:
-                out.append(exc)
-        return out
+                L[a], errors[a] = np.eye(len(m)), exc
+        return L, errors
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,40 +209,27 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, b))
 
 
-def _separation(beta, col_scale, p, y, C) -> list:
-    """The separation verdict of each fit: a :class:`SeparationError`
-    message, or None.
-
-    A fit is a column of ``beta``, ``p`` and the weights ``C``; the fitted
-    probabilities are checked only on rows with a positive weight.
-    """
-    # row 0 (the intercept) is exempt: constant columns carry no scale
-    quasi = (np.abs(beta[1:]) * col_scale[1:] > _SEPARATION_BETA).any(axis=0)
-    ones = (C > 0) & (y == 1.0)[:, None]
-    zeros = (C > 0) & (y == 0.0)[:, None]
-    pinned = (ones.any(axis=0) & zeros.any(axis=0)
-              & ((p >= 1.0 - _SEPARATION_PROB) | ~ones).all(axis=0)
-              & ((p <= _SEPARATION_PROB) | ~zeros).all(axis=0))
-    return ["quasi-complete separation: a standardized coefficient exceeds 30" if q
-            else "complete separation: fitted probabilities are pinned at 0/1" if pin
-            else None for q, pin in zip(quasi, pinned)]
-
-
 def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
             term_map: Optional[TermMap] = None) -> list:
-    """Newton-Raphson fits of one logit model under B frequency-weight columns.
+    """Newton-Raphson fits of one logit model under B frequency-weight rows.
 
-    Column b of ``C`` (n x B) counts how often each row enters fit b, as a
+    Row b of ``C`` (B x n) counts how often each data row enters fit b, as a
     row resample drawn with replacement does; ``None`` is one fit of the
     rows as given.  Fit b runs, in the same order, every check and step that
     a fit of its materialised resample runs (see :func:`fit`), from
     ``sqrt(c)*X`` for the rank check and weighted sums elsewhere, so it
     gives that fit's iterations and exceptions and its estimates up to
-    rounding.  The fits iterate together.  After each evaluation of their
-    scores and Hessians, one verdict per fit decides whether it converged or
-    failed, and such a fit leaves the active set.  Returns one
-    :class:`FitResult`, or the exception that fit raised, per column.  An
-    invalid ``X`` or ``y`` raises at once, for the whole block.
+    rounding.  The fits iterate together, each a row of every per-fit array.
+    After each evaluation of their scores and Hessians, one verdict per fit,
+    read from that evaluation alone, takes the first of these that holds:
+    quasi-complete, then complete separation (:class:`SeparationError`);
+    ``max_iter`` iterations without convergence (:class:`ConvergenceError`);
+    a negative Hessian without a Cholesky factor (:class:`FitError`);
+    convergence (a :class:`FitResult`); a step to a non-finite coefficient
+    vector (``ValueError``).  A fit with a verdict leaves the active set.
+    Returns one :class:`FitResult`, or the exception that fit raised, per
+    row of ``C``.  An invalid ``X`` or ``y`` raises at once, for the whole
+    block.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -252,86 +242,90 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     n, k = X.shape
     if n <= k:
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
-    C = np.ones((n, 1)) if C is None else np.asarray(C, dtype=np.float64)
-    out: list = [None] * C.shape[1]
+    C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
+    out: list = [None] * len(C)
     # the one n x k buffer: weighted rows for the rank check, the column
     # scales and every Hessian, refilled in place
     buf = np.empty_like(X)
-    for b, c in enumerate(C.T):
+    for b, c in enumerate(C):
         np.multiply(X, np.sqrt(c)[:, None], out=buf)
         try:
             _check_rank(buf, term_map)
         except RankDeficiencyError as exc:
             out[b] = exc
-    # weighted column sds, from moments about the full-sample mean: every
-    # weighted mean is close to it, so the difference loses no precision
+    act = np.flatnonzero([o is None for o in out])  # the fits still iterating
+    ones = C @ y  # weighted count of y = 1, exact for integer weights
+    C = C[act]
+    # per-fit constants: the rows a fit holds (1, else 0), whether they hold
+    # both outcomes, and the weighted sds of the non-intercept columns, from
+    # moments about the full-sample mean (every weighted mean is close to it,
+    # so no precision is lost)
+    present = (C > 0).astype(np.float64)
+    both = (ones[act] > 0) & (ones[act] < C.sum(axis=1))
     np.subtract(X, X.mean(axis=0), out=buf)
-    shift = _matmul_tiles(C.T, buf) / n
-    col_var = _matmul_tiles(C.T, np.square(buf, out=buf)) / n - shift * shift
-    col_sd = np.sqrt(np.maximum(col_var, 0.0)).T
+    shift = _matmul_tiles(C, buf) / n
+    col_var = _matmul_tiles(C, np.square(buf, out=buf)) / n - shift * shift
+    col_sd = np.sqrt(np.maximum(col_var[:, 1:], 0.0))
     col_scale = np.where(col_sd > 0, col_sd, 1.0)
 
-    act = np.flatnonzero([o is None for o in out])  # the fits still iterating
-    C = C[:, act]
-    beta = np.zeros((k, act.size))
-    P = np.full((n, act.size), 0.5)  # expit(0)
+    beta = np.zeros((act.size, k))
+    P = np.full((act.size, n), 0.5)  # expit(0)
     ll = prev_ll = _log_likelihoods(np.zeros_like(P), y, C)
-    traces = {b: [v] for b, v in zip(act, ll)}
-    # what the last step found, read by the next verdict
-    finite, separated = np.ones(act.size, dtype=bool), [None] * act.size
+    trace = ll[:, None]  # (A, iterations + 1)
     iterations = 0
     while act.size:
-        score, neg_h = _score_hessians(X, y, C, P, buf)
+        score, neg_h, resid = _score_hessians(X, y, C, P, buf)
+        quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
+        np.abs(resid, out=resid)
+        resid *= present
+        pinned = both & (resid.max(axis=1) <= _SEPARATION_PROB)
         converged = ((np.abs(ll - prev_ll) / (np.abs(prev_ll) + 1e-300) < tol)
-                     & (np.abs(score).max(axis=0) < SCORE_TOL) & (iterations > 0))
-        chol = _cholesky(neg_h)
-        # the one verdict per fit, in order of precedence
+                     & (np.abs(score).max(axis=1) < SCORE_TOL) & (iterations > 0))
+        L, errors = _cholesky(neg_h)
+        step = _cho_solve(L, score[:, :, None])[:, :, 0]
         for a, b in enumerate(act):
-            if not finite[a]:
-                out[b] = ValueError("non-finite coefficient vector")
-            elif separated[a]:
-                out[b] = SeparationError(separated[a])
+            if quasi[a]:
+                out[b] = SeparationError(
+                    "quasi-complete separation: a standardized coefficient exceeds 30")
+            elif pinned[a]:
+                out[b] = SeparationError(
+                    "complete separation: fitted probabilities are pinned at 0/1")
             elif iterations >= max_iter and not converged[a]:
                 out[b] = ConvergenceError(f"no convergence after {max_iter} iterations")
-            elif isinstance(chol[a], np.linalg.LinAlgError):
+            elif errors[a] is not None:
                 out[b] = FitError("negative Hessian is not positive definite")
-                out[b].__cause__ = chol[a]
+                out[b].__cause__ = errors[a]
             elif converged[a]:
-                cov = _cho_solve(chol[a], np.eye(k))
-                out[b] = FitResult(beta=beta[:, a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
-                                   ll0=_null_ll(float(y @ C[:, a]) / n, n), n=n, k=k,
+                cov = _cho_solve(L[a], np.eye(k))
+                out[b] = FitResult(beta=beta[a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
+                                   ll0=_null_ll(float(ones[b]) / n, n), n=n, k=k,
                                    iterations=iterations, converged=True,
-                                   term_map=term_map, ll_trace=tuple(traces[b]))
+                                   term_map=term_map, ll_trace=tuple(trace[a]))
+            elif not np.isfinite(beta[a] + step[a]).all():
+                out[b] = ValueError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
-            act, C, beta, P, ll, score = (act[keep], C[:, keep], beta[:, keep], P[:, keep],
-                                          ll[keep], score[:, keep])
-            chol = [L for L, kept in zip(chol, keep) if kept]
+            act, C, present, both, col_scale, beta, P, ll, trace, step = (
+                v[keep] for v in (act, C, present, both, col_scale, beta, P, ll, trace, step))
         if not act.size:
             break
 
-        step = _cho_solve(np.stack(chol), score.T[:, :, None])[:, :, 0].T
-        finite = np.isfinite(beta + step).all(axis=0)
-        step[:, ~finite] = 0.0  # that fit leaves at the next verdict; keep it finite
         # a computed decrease within fp resolution of ll is not a real decrease;
         # rejecting it would freeze the final score-polishing steps
         noise = 64.0 * np.finfo(np.float64).eps * (1.0 + np.abs(ll))
         scale = np.ones(act.size)  # the full step, then at most 60 halvings
         while True:
-            cand = beta + step * scale
-            eta = X @ cand
+            cand = beta + step * scale[:, None]
+            eta = cand @ X.T
             cand_ll = _log_likelihoods(eta, y, C)
             halve = (cand_ll < ll - noise) & (scale > 0.5 ** 60)
             if not halve.any():
                 break
             scale[halve] *= 0.5
-        # the accepted eta serves the likelihood, the separation check and
-        # the next score and Hessian
+        # the accepted eta serves the likelihood and the next evaluation
         beta, prev_ll, ll, P = cand, ll, cand_ll, expit(eta, out=eta)
+        trace = np.column_stack((trace, ll))
         iterations += 1
-        for b, v in zip(act, ll):
-            traces[b].append(v)
-        separated = _separation(beta, col_scale[:, act], P, y, C)
     return out
 
 
@@ -441,6 +435,10 @@ def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
         raise ValueError("cov is not symmetric")
     if (np.diag(cov) <= 0).any():
         raise ValueError("cov has a non-positive diagonal")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("cov is not positive definite") from None
 
 
 def _typed(d: dict, name: str, types, what: str):
@@ -458,8 +456,8 @@ def from_json(text: str) -> tuple[FitResult, str]:
     be a JSON boolean, ``k``, ``n`` and ``iterations`` integers, ``ll`` and
     ``ll0`` finite numbers), unless ``n > k`` and ``iterations >= 0``, for
     a term map whose columns disagree with its factors, and unless ``beta``
-    has one entry per term-map column and ``cov`` is a finite, symmetric
-    k x k matrix with a positive diagonal.
+    has one entry per term-map column and ``cov`` is a finite, symmetric,
+    positive-definite k x k matrix (one with a Cholesky factor).
     """
     d = json.loads(text)
     if not isinstance(d, dict) or not isinstance(d.get("formula"), str):

@@ -46,8 +46,8 @@ from .logit import FitError, FitResult, _matmul_tiles, _newton, expit, fit, two_
 Z95 = 1.959964  # fixed critical value for 95% intervals
 BLOCK_BYTES = 2 << 20  # S x n float64 per block of scenarios
 # scenarios, or bootstrap replicates, per block; the replicates' linear
-# predictors are one n x B product, whose bits OpenBLAS keeps at any thread
-# count up to 16 columns
+# predictors are one B x n product, whose bits OpenBLAS keeps at any thread
+# count up to 16 rows
 _BLOCK_COLUMNS = 16
 
 
@@ -204,7 +204,8 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
 
     Each output row is a (label, at, plus, minus) spec; ``plus`` and
     ``minus`` are scenario keys (factor level, value), and a row without
-    ``minus`` is the ``plus`` scenario alone.
+    ``minus`` is the ``plus`` scenario alone.  A grid value whose square
+    overflows, for a variable with a squared term, is a :class:`MarginsError`.
     """
     tm = _term_map(fr)
     arr = _design_array(X)
@@ -278,13 +279,19 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
                          dtype=np.float64).reshape(len(keys), len(nonref))
     lin = sq = None
     extrapolated = [False] * len(specs)
+    values = np.array([0.0 if v is None else v for _, v in keys])
     if var is not None:
         lin, sq = tm.linear_col(var), tm.square_col(var)
         lo, hi = float(arr[:, lin].min()), float(arr[:, lin].max())
         extrapolated = [at is not None and not lo <= at <= hi for _, at, _, _ in specs]
+    if sq is not None:
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(values * values).all()
+        if overflows:
+            raise MarginsError(f"squared term {tm.labels[sq]} overflows: some grid value "
+                               f"|{var}| exceeds {np.sqrt(np.finfo(np.float64).max):.4g}")
     return _Plan(rows=mean_design_row(arr, tm)[None, :] if atmeans else arr,
-                 fcols=fcols, fvals=fvals, lin=lin, sq=sq,
-                 values=np.array([0.0 if v is None else v for _, v in keys]),
+                 fcols=fcols, fvals=fvals, lin=lin, sq=sq, values=values,
                  shift=shift, slope=slope, L=L,
                  labels=tuple(s[0] for s in specs), at=tuple(s[1] for s in specs),
                  extrapolated=tuple(extrapolated))
@@ -418,11 +425,11 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     kept = []
     for b0 in range(0, reps, _BLOCK_COLUMNS):
         block = children[b0:b0 + _BLOCK_COLUMNS]
-        C = np.empty((n, len(block)))
+        C = np.empty((len(block), n))
         for b, child in enumerate(block):
             idx = np.random.default_rng(child).integers(0, n, size=n)
-            C[:, b] = np.bincount(idx, minlength=n)
-        for c, fr in zip(C.T, _newton(X, design.y, C, term_map=design.term_map)):
+            C[b] = np.bincount(idx, minlength=n)
+        for c, fr in zip(C, _newton(X, design.y, C, term_map=design.term_map)):
             if isinstance(fr, FitError):
                 continue
             if isinstance(fr, Exception):

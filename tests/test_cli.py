@@ -432,6 +432,20 @@ def test_malformed_model_json_exits_1(workspace, tmp_path):
     assert "cannot read model" in r.stderr and "symmetric" in r.stderr
 
 
+def test_indefinite_model_cov_exits_1(workspace, tmp_path):
+    # symmetric with a positive diagonal, but a negative 2 x 2 minor: its
+    # delta-method variances could be negative
+    d = json.loads((workspace / "m.json").read_text())
+    d["cov"][0][1] = d["cov"][1][0] = 2.0 * (d["cov"][0][0] * d["cov"][1][1]) ** 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    r = run_cli("margins", "--model", str(bad), "--data", str(workspace / "s.csv"),
+                "--ame", "C(univ)")
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        f"error: cannot read model JSON {bad}: cov is not positive definite"], r.stderr
+
+
 # a field of the wrong type or an impossible value, a term map whose columns
 # disagree with its factors, and a term map that loads but differs from the
 # one its formula builds on the data, each give one error line
@@ -496,6 +510,21 @@ def test_malformed_grid_range_exits_1(workspace, at):
     lines = r.stderr.splitlines()
     assert r.returncode == 1
     assert len(lines) == 1 and lines[0].startswith("error: --at range"), r.stderr
+
+
+def test_grid_value_whose_square_overflows_exits_1(workspace):
+    base = ["margins", "--model", str(workspace / "m.json"),
+            "--data", str(workspace / "s.csv")]
+    r = run_cli(*base, "--aap", "jif", "--at", "jif=1e200:1e200:1")
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        "error: squared term jif^2 overflows: some grid value |jif| exceeds 1.341e+154"]
+    # a square that stays finite saturates p(1-p) to 0: an effect of 0 with SE 0
+    r = run_cli(*base, "--ame", "jif", "--at", "jif=1e150:1e150:1")
+    assert r.returncode == 0, r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    row, = [line for line in r.stdout.splitlines() if line.startswith("AME jif")]
+    assert row.split()[2:5] == ["1e+150", "0", "0"], row
 
 
 def test_import_leaves_scipy_stats_unloaded():

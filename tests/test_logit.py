@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
 import logitmargins as lm
@@ -324,10 +324,27 @@ def _failure(exc) -> tuple:
     return type(exc), str(exc)
 
 
+# one block holding a resample of each kind, with zero-weight rows in each:
+# completely separated (the binary column equals y: pinned probabilities),
+# single-outcome (y = 1 only), rank-deficient (no row of the rare level)
+# and ordinary (every row once)
+FROZEN_BLOCK = (
+    np.column_stack([np.ones(12), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                     [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+                     [0.3, -0.8, 1.2, -0.5, 0.7, 0.1, -1.1, 0.9, -0.2, 1.5, -0.7, 0.4]]),
+    np.array([1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0], dtype=float),
+    np.array([[1, 2, 3, 6, 7, 8, 9, 1, 2, 3, 6, 7],
+              [0, 1, 3, 4, 7, 9, 10, 0, 1, 3, 4, 7],
+              [3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 4, 5],
+              list(range(12))]),
+    25)
+
+
 @settings(max_examples=300)
 @given(resample_blocks())
+@example(FROZEN_BLOCK)
 def test_weighted_block_matches_each_materialised_resample(case):
-    # each weight column of the batched core fits as fit() does on the copied
+    # each weight row of the batched core fits as fit() does on the copied
     # resample: the same exception (and message, but for a rank failure), or
     # the same iteration count and estimates within 1e-10.  Quasi-separated
     # resamples, whose MLE does not exist, are held to what rounding allows:
@@ -340,7 +357,7 @@ def test_weighted_block_matches_each_materialised_resample(case):
     #   step trips the check on standardized coefficients (SeparationError);
     #   the bootstrap skips both alike.
     X, y, idx, max_iter = case
-    C = np.column_stack([np.bincount(i, minlength=len(y)) for i in idx])
+    C = np.vstack([np.bincount(i, minlength=len(y)) for i in idx])
     for i, got in zip(idx, _newton(X, y, C, max_iter=max_iter)):
         try:
             want = fit(X[i], y[i], max_iter=max_iter)
@@ -461,6 +478,8 @@ def _mangle(d, field: str):
         d["cov"][0][1] = d["cov"][0][1] * 2.0 + 1.0
     elif field == "diagonal":
         d["cov"][2][2] = -abs(d["cov"][2][2])
+    elif field == "indefinite":  # symmetric, positive diagonal, a negative 2 x 2 minor
+        d["cov"][0][1] = d["cov"][1][0] = 2.0 * math.sqrt(cov[0, 0] * cov[1, 1])
     elif field == "ragged":
         d["cov"][0] = d["cov"][0][:-1]
     elif field == "k_null":
@@ -512,6 +531,7 @@ def _mangle(d, field: str):
     ("short_beta", "beta has shape"), ("k", "beta has shape"),
     ("cov_shape", "cov has shape"), ("cov_nan", "finite"), ("beta_inf", "finite"),
     ("asymmetric", "symmetric"), ("diagonal", "non-positive diagonal"),
+    ("indefinite", "not positive definite"),
     ("ragged", None), ("k_null", "malformed"), ("ll_null", "malformed"),
     ("top_level_list", "must be an object"), ("term_map_null", "malformed"),
     ("levels_int", "malformed"), ("columns_int", "malformed"),

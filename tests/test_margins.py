@@ -521,8 +521,8 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch):
         rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
         est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
     # the refits see the replicates' row counts in spawn order, 16 at a time
-    assert [b.shape[1] for b in blocks] == [16] * 6 + [4]
-    assert np.array_equal(np.hstack(blocks), np.column_stack(counts))
+    assert [len(b) for b in blocks] == [16] * 6 + [4]
+    assert np.array_equal(np.vstack(blocks), np.vstack(counts))
     assert got.failures == 0 and got.replicates == 100
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
                                rtol=1e-12, atol=0)
