@@ -183,6 +183,8 @@ def _build_requests(args) -> list[mg.MarginRequest]:
     if args.dydx and (args.aap or args.ame):
         raise mg.MarginsError("--dydx applies only to --over and a bare --at")
     at = _parse_at(args.at) if args.at else None
+    if args.plot and at is None:
+        raise mg.MarginsError("--plot requires margins over an --at grid")
 
     def request(pred: bool, var: str, base: Optional[str] = None) -> mg.MarginRequest:
         kind = ("apm" if pred else "mem") if args.atmeans else ("aap" if pred else "ame")
@@ -221,11 +223,10 @@ def _human_margins(rows) -> str:
     return "\n".join(lines)
 
 
-def _plot_rows(rows, path, at_var: str, predictions: bool) -> None:
+def _plot_rows(rows, path, requests) -> None:
+    predictions = all(req.kind in ("aap", "apm", "aprv") for req in requests)
     by_label: dict[str, list] = {}
     for r in rows:
-        if r.at_value is None:
-            raise mg.MarginsError("--plot requires margins over an --at grid")
         by_label.setdefault(r.label, []).append(r)
     series = tuple(
         Series(name=label,
@@ -234,7 +235,7 @@ def _plot_rows(rows, path, at_var: str, predictions: bool) -> None:
                low=tuple(r.ci_low for r in rs),
                high=tuple(r.ci_high for r in rs))
         for label, rs in by_label.items())
-    spec = PlotSpec(x_label=at_var,
+    spec = PlotSpec(x_label=requests[0].at[0],
                     y_label="adjusted prediction" if predictions else "marginal effect",
                     series=series,
                     y_range=(0.0, 1.0) if predictions else None)
@@ -249,6 +250,7 @@ def _plot_rows(rows, path, at_var: str, predictions: bool) -> None:
 
 
 def cmd_margins(args) -> int:
+    requests = _build_requests(args)
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             fr, formula_text = logit_mod.from_json(fh.read())
@@ -265,7 +267,7 @@ def cmd_margins(args) -> int:
     if design.term_map != fr.term_map:
         raise FormulaError(f"the term map in {args.model} does not match its formula")
     rows = []
-    for req in _build_requests(args):
+    for req in requests:
         if args.vce == "bootstrap":
             res = mg.bootstrap_se(design, req, args.reps, args.seed)
             rows.extend(res.rows)
@@ -288,9 +290,7 @@ def cmd_margins(args) -> int:
         with open(args.table, "w", encoding="utf-8") as fh:
             fh.write(mg.margins_tsv(rows))
     if args.plot:
-        predictions = all(not r.label.startswith(("AME", "MEM", "MERV")) for r in rows)
-        at_var = _parse_at(args.at)[0] if args.at else ""
-        _plot_rows(rows, args.plot, at_var, predictions)
+        _plot_rows(rows, args.plot, requests)
     return 0
 
 

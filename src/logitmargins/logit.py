@@ -256,12 +256,10 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
     ones = C @ y  # weighted count of y = 1, exact for integer weights
     C = C[act]
-    # per-fit constants: the rows a fit holds (1, else 0), whether they hold
-    # both outcomes, and the weighted sds of the non-intercept columns, from
-    # moments about the full-sample mean (every weighted mean is close to it,
-    # so no precision is lost)
+    # per-fit constants: the rows a fit holds (1, else 0) and the weighted
+    # sds of the non-intercept columns, from moments about the full-sample
+    # mean (every weighted mean is close to it, so no precision is lost)
     present = (C > 0).astype(np.float64)
-    both = (ones[act] > 0) & (ones[act] < C.sum(axis=1))
     np.subtract(X, X.mean(axis=0), out=buf)
     shift = _matmul_tiles(C, buf) / n
     col_var = _matmul_tiles(C, np.square(buf, out=buf)) / n - shift * shift
@@ -278,7 +276,7 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
         np.abs(resid, out=resid)
         resid *= present
-        pinned = both & (resid.max(axis=1) <= _SEPARATION_PROB)
+        pinned = resid.max(axis=1) <= _SEPARATION_PROB
         converged = ((np.abs(ll - prev_ll) / (np.abs(prev_ll) + 1e-300) < tol)
                      & (np.abs(score).max(axis=1) < SCORE_TOL) & (iterations > 0))
         L, errors = _cholesky(neg_h)
@@ -305,8 +303,8 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
                 out[b] = ValueError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
-            act, C, present, both, col_scale, beta, P, ll, trace, step = (
-                v[keep] for v in (act, C, present, both, col_scale, beta, P, ll, trace, step))
+            act, C, present, col_scale, beta, P, ll, trace, step = (
+                v[keep] for v in (act, C, present, col_scale, beta, P, ll, trace, step))
         if not act.size:
             break
 

@@ -17,7 +17,7 @@ replaced in closed form by ``V.T * mean(W)``.  Standard errors are
 ``p(1-p) * d eta/dv`` instead of ``p`` and add that slope's closed-form
 gradient.  Effects at each row's observed value use a per-row shift override
 (``v = x_i + delta``), and at-means margins run the same code on the single
-row of :func:`mean_design_row`.
+row of sample means.
 
 Scenarios are evaluated in blocks of at most 16 and about ``BLOCK_BYTES``
 of float64, so memory stays flat however long the grid.  A block is stored
@@ -25,16 +25,17 @@ scenario-major, S x n: each scenario's mean is a contiguous row sum, whose
 bits do not depend on the block the scenario falls in.  The gradient
 product ``X.T @ D.T`` reads the transposed block without a copy, in output
 tiles of at most 16 x 16, where OpenBLAS gives the same bits at any thread
-count.  A nonparametric bootstrap, which asks for estimates only, is
-available as a cross-check; its replicates are row weights, never resample
-copies.
+count.  A nonparametric bootstrap is available as a cross-check.  Its
+replicates are row weights, never resample copies, and each is evaluated by
+the same code under its weights: weighted row means, or the weighted row of
+sample means, and no gradients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,28 +135,10 @@ def _check_grid(grid: Sequence[float]):
         raise MarginsError("grid values must be sorted strictly ascending")
 
 
-def _design_array(X: Union[np.ndarray, DesignMatrix]) -> np.ndarray:
-    return X.X if isinstance(X, DesignMatrix) else np.asarray(X, dtype=np.float64)
-
-
-def _term_map(fr: FitResult) -> TermMap:
-    if fr.term_map is None:
-        raise MarginsError("margins require a fit carrying a term map")
-    return fr.term_map
-
-
-def mean_design_row(X: Union[np.ndarray, DesignMatrix], term_map: TermMap) -> np.ndarray:
-    """Single synthetic row of sample means.
-
-    Each factor's indicators become its level shares, and a squared
-    column is the square of its variable's mean, keeping the row consistent
-    with the substitution semantics.
-    """
-    return _mean_row(_design_array(X), term_map)
-
-
 def _mean_row(arr: np.ndarray, term_map: TermMap, weights=None) -> np.ndarray:
-    # the mean row of the rows of arr, each counted ``weights`` times if given
+    # the row of sample means of arr, each row counted ``weights`` times if
+    # given: a factor's indicators become its level shares, and a squared
+    # column the square of its variable's mean, as a substitution sets it
     n = len(arr)
     row = arr.mean(axis=0) if weights is None else np.einsum("i,ij->j", weights, arr) / n
     for j, c in enumerate(term_map.columns):
@@ -176,9 +159,13 @@ class _Plan:
     continuous column ``lin`` to ``values[s]`` (its square ``sq`` to the
     square); with ``shift`` the value is an offset from each row's own
     value.  ``slope`` averages the derivative p(1-p) d eta/dv instead of p.
+    With ``atmeans`` the scenarios override the single row of sample means
+    of ``X`` instead of each of its rows.
     """
 
-    rows: np.ndarray  # (n, k) design rows the scenarios average over
+    X: np.ndarray  # (n, k) design rows the scenarios average over
+    term_map: TermMap
+    atmeans: bool
     fcols: list[int]
     fvals: np.ndarray  # (S, len(fcols))
     lin: Optional[int]
@@ -207,8 +194,10 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
     ``minus`` is the ``plus`` scenario alone.  A grid value whose square
     overflows, for a variable with a squared term, is a :class:`MarginsError`.
     """
-    tm = _term_map(fr)
-    arr = _design_array(X)
+    if fr.term_map is None:
+        raise MarginsError("margins require a fit carrying a term map")
+    tm = fr.term_map
+    arr = X.X if isinstance(X, DesignMatrix) else np.asarray(X, dtype=np.float64)
     kind, target = request.kind, request.target
     atmeans = kind in ("apm", "mem")
     effect = kind in ("ame", "mem", "merv")
@@ -290,7 +279,7 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
         if overflows:
             raise MarginsError(f"squared term {tm.labels[sq]} overflows: some grid value "
                                f"|{var}| exceeds {np.sqrt(np.finfo(np.float64).max):.4g}")
-    return _Plan(rows=mean_design_row(arr, tm)[None, :] if atmeans else arr,
+    return _Plan(X=arr, term_map=tm, atmeans=atmeans,
                  fcols=fcols, fvals=fvals, lin=lin, sq=sq, values=values,
                  shift=shift, slope=slope, L=L,
                  labels=tuple(s[0] for s in specs), at=tuple(s[1] for s in specs),
@@ -304,15 +293,26 @@ def _avg(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (A * z).mean(axis=1) if z.shape[1] > 1 else z[:, 0] * A.mean(axis=1)
 
 
-def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=None):
-    """Row estimates ``L@est`` and, with ``gradients``, their (k, R) gradients.
+def _row_name(plan: _Plan, r: int) -> str:
+    at = plan.at[r]
+    return repr(plan.labels[r]) + ("" if at is None else f" at {at:g}")
 
-    ``weights`` counts how often each row enters the estimates' row means,
-    as in a bootstrap resample; it applies to estimates only.
+
+# extreme coefficients or grid values overflow to inf or nan, which the
+# finiteness check at the end reports as an error
+@np.errstate(all="ignore")
+def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
+    """Row estimates ``L@est`` and, without ``weights``, their (k, R) gradients.
+
+    ``weights`` counts how often each design row enters, as in a bootstrap
+    resample: the estimates average over the weighted rows, or at-means over
+    the weighted row of sample means.  A row that is not finite, estimate
+    or gradient, is a :class:`MarginsError` naming the first.
     """
-    if weights is not None and gradients:
-        raise ValueError("row weights apply to estimates only")
-    X = plan.rows
+    gradients = weights is None
+    X = plan.X
+    if plan.atmeans:
+        X, weights = _mean_row(X, plan.term_map, weights)[None, :], None
     n, k = X.shape
     C = [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]
     r = X @ beta - X[:, C] @ beta[C]
@@ -361,7 +361,15 @@ def _evaluate(plan: _Plan, beta: np.ndarray, *, gradients: bool = True, weights=
     step = max(1, min(_BLOCK_COLUMNS, BLOCK_BYTES // (8 * n)))
     for s0 in range(0, S, step):
         block(slice(s0, s0 + step))
-    return plan.L @ est, (G @ plan.L.T if gradients else None)
+    rows = plan.L @ est
+    grad = G @ plan.L.T if gradients else None
+    bad = ~np.isfinite(rows)
+    if gradients:
+        bad |= ~np.isfinite(grad).all(axis=0)
+    if bad.any():
+        raise MarginsError(f"margin row {_row_name(plan, int(np.argmax(bad)))} is not "
+                           "finite: the coefficients or grid values are too large")
+    return rows, grad
 
 
 def _margin_rows(plan: _Plan, est: np.ndarray, se: np.ndarray,
@@ -386,7 +394,18 @@ def compute_margins(fr: FitResult, X, request: MarginRequest) -> list[MarginRow]
     """
     plan = _compile(fr, X, request)
     est, G = _evaluate(plan, fr.beta)
-    var = np.einsum("kr,kr->r", fr.cov @ G, G)
+    with np.errstate(all="ignore"):
+        var = np.einsum("kr,kr->r", fr.cov @ G, G)
+        # g' cov g, two sums of k products, is rounded by at most
+        # 2k eps |g|'|cov||g|: a negative variance within that is a rounded 0
+        bound = 2 * len(G) * np.finfo(np.float64).eps * np.einsum(
+            "kr,kr->r", np.abs(fr.cov) @ np.abs(G), np.abs(G))
+    bad = ~np.isfinite(var) | (var < -bound)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise MarginsError(f"margin row {_row_name(plan, r)} has delta-method variance "
+                           f"{var[r]:.4g}: the coefficient covariance is not positive "
+                           "semidefinite, or too large")
     se = np.sqrt(np.where(var > 0, var, 0.0))
     return _margin_rows(plan, est, se, request.ci_level)
 
@@ -409,7 +428,8 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     ``SeedSequence(seed).spawn(reps)``, in spawn order.  No resample is
     copied: replicate b is the design under the weights
     ``bincount(idx_b, minlength=n)``, refit in blocks of 16 replicates by the
-    weighted Newton core, and its margins are weighted row means.
+    weighted Newton core, and its margins are evaluated under those weights
+    (weighted row means, or the weighted row of sample means).
     Replicates whose refit fails are recorded and skipped; more than 10%
     failures is an error.  ``workers`` is accepted for compatibility and
     ignored.
@@ -418,9 +438,8 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
     full_fit = fit(design)
     plan = _compile(full_fit, design, request)
-    full_est, _ = _evaluate(plan, full_fit.beta, gradients=False)
+    full_est, _ = _evaluate(plan, full_fit.beta)
     X, n = design.X, design.n
-    atmeans = request.kind in ("apm", "mem")
     children = np.random.SeedSequence(seed).spawn(reps)
     kept = []
     for b0 in range(0, reps, _BLOCK_COLUMNS):
@@ -434,12 +453,7 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
                 continue
             if isinstance(fr, Exception):
                 raise fr
-            if atmeans:
-                rows = _mean_row(X, design.term_map, c)[None, :]
-                est, _ = _evaluate(replace(plan, rows=rows), fr.beta, gradients=False)
-            else:
-                est, _ = _evaluate(plan, fr.beta, gradients=False, weights=c)
-            kept.append(est)
+            kept.append(_evaluate(plan, fr.beta, weights=c)[0])
 
     failures = reps - len(kept)
     if failures > 0.10 * reps:

@@ -527,6 +527,53 @@ def test_grid_value_whose_square_overflows_exits_1(workspace):
     assert row.split()[2:5] == ["1e+150", "0", "0"], row
 
 
+@pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
+def test_overflowing_coefficient_exits_1(workspace, tmp_path, plot):
+    # x * beta overflows to inf, and inf - inf is nan: an error, never rows of
+    # nan with SE 0 or a plot of them
+    d = json.loads((workspace / "m.json").read_text())
+    jif = [c["source"] == "jif" and c["transform"] == "identity"
+           for c in d["term_map"]["columns"]].index(True)
+    d["beta"][jif] = 1e307
+    d["cov"] = np.eye(d["k"]).tolist()
+    (tmp_path / "big.json").write_text(json.dumps(d))
+    outputs = ["--table", str(tmp_path / "t.tsv")]
+    if plot:
+        outputs += ["--plot", str(tmp_path / "p.svg")]
+    r = run_cli("margins", "--model", str(tmp_path / "big.json"),
+                "--data", str(workspace / "s.csv"), "--aap", "jif", "--at", "jif=0:2:1",
+                *outputs)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == ["error: margin row 'AAP jif' at 0 is not finite: "
+                                     "the coefficients or grid values are too large"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_plot_without_a_grid_exits_1_before_any_output(workspace, tmp_path):
+    # a flag rule: checked before the model or the data are read
+    for model in (workspace / "m.json", tmp_path / "missing.json"):
+        r = run_cli("margins", "--model", str(model), "--data", str(workspace / "s.csv"),
+                    "--aap", "C(univ)", "--plot", str(tmp_path / "p.svg"),
+                    "--table", str(tmp_path / "t.tsv"))
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.splitlines() == ["error: --plot requires margins over an --at grid"]
+        assert list(tmp_path.iterdir()) == []
+
+
+# the logistic MLE does not exist when y takes one value: the intercept runs
+# off until every fitted probability is pinned at that value
+@pytest.mark.parametrize("outcome", ["1", "0"])
+def test_single_outcome_response_exits_1(tmp_path, outcome):
+    rows = [f"{outcome},{x}" for x in (0.1, 0.5, 0.9, 1.3, 2.0, 2.2, 3.1, 4.0)]
+    (tmp_path / "one.csv").write_text("y,x\n" + "\n".join(rows) + "\n")
+    r = run_cli("fit", "--data", str(tmp_path / "one.csv"), "--model", "y ~ x",
+                "--out", str(tmp_path / "m.json"))
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: complete separation: fitted probabilities are pinned at 0/1"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs most of the import time, and the package needs only
     # the normal cdf and quantile; concurrent.futures has no user, and

@@ -6,14 +6,17 @@ request of any kind.  Coefficients and covariance are drawn directly rather
 than fitted: the margin computation never needs them to be a maximum of the
 likelihood, and every draw is then usable.  A last property draws requests
 with any fields at all: each is rejected, or reads every field it sets.
-Another runs requests of more than 16 scenarios at several block widths.
+Another runs requests of more than 16 scenarios at several block widths,
+and one gives extreme coefficients, grids and covariances: each request is
+rejected with a MarginsError, or gives finite rows.
 """
 
+import dataclasses
 import itertools
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import logitmargins as lm
 from logitmargins import margins
@@ -38,13 +41,11 @@ SHAPES = (
 )
 
 
-@st.composite
-def toy_fits(draw):
-    """A random toy fit, its design and its loop oracle."""
-    n_levels = draw(st.integers(3, 4))
+def toy_fit(n_levels: int, n: int, seed: int):
+    """A toy fit of n rows and an n_levels factor drawn from ``seed``, its
+    design and its loop oracle."""
     levels = LEVELS[:n_levels]
-    n = draw(st.integers(n_levels + 4, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     # every level observed at least once
     codes = np.concatenate([np.arange(n_levels),
                             rng.integers(0, n_levels, n - n_levels)]).astype(np.int64)
@@ -65,6 +66,14 @@ def toy_fits(draw):
     oracle = ToyModel(factors={"g": levels[1:]}, continuous={"x": True, "z": False},
                       raw={"g": [levels[c] for c in codes], "x": list(x), "z": list(z)})
     return fr, design, oracle
+
+
+@st.composite
+def toy_fits(draw):
+    """A random toy fit, its design and its loop oracle."""
+    n_levels = draw(st.integers(3, 4))
+    n = draw(st.integers(n_levels + 4, 24))
+    return toy_fit(n_levels, n, draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -179,13 +188,16 @@ def test_effects_are_exact_prediction_differences(case):
         assert abs(row.estimate - diff) <= IDENTITY_TOL
 
 
+# a second-order difference at h = 1e-6 missed this case's gradients by a
+# relative 1.5e-6, from rounding alone
+@example((*toy_fit(4, 15, 389), MarginRequest("aprv", "g", at=("x", (-3.0, 4.0)))))
 @given(cases())
 def test_kernel_gradients_match_finite_differences(case):
     fr, design, _, request = case
     plan = _compile(fr, design, request)
     _, grad = _evaluate(plan, fr.beta)
     for r in range(grad.shape[1]):
-        fd = fd_gradient(lambda b: _evaluate(plan, b, gradients=False)[0][r], fr.beta)
+        fd = fd_gradient(lambda b: _evaluate(plan, b)[0][r], fr.beta)
         scale = max(1e-12, float(np.max(np.abs(grad[:, r]))))
         assert np.max(np.abs(grad[:, r] - fd)) / scale < 1e-6
 
@@ -208,7 +220,7 @@ def test_estimates_do_not_depend_on_the_scenario_block(fit_case, shape, grid, da
     for width in (1, 5, 16):
         with patch.object(margins, "_BLOCK_COLUMNS", width):
             est, grad = _evaluate(plan, fr.beta)
-            weighted, _ = _evaluate(plan, fr.beta, gradients=False, weights=counts)
+            weighted, _ = _evaluate(plan, fr.beta, weights=counts)
             se = [row.se for row in compute_margins(fr, design, request)]
         results.append((est, weighted, grad, np.array(se)))
     est, weighted, grad, se = results[-1]
@@ -273,3 +285,28 @@ def test_a_request_is_rejected_or_reads_every_field_it_sets(case, data):
             if other != value:
                 changed = rows_or_none(fr, design, {**fields, name: other})
                 assert changed is None or changed != rows, (name, value, other)
+
+
+# extreme but finite inputs: grid values whose square may overflow,
+# coefficients up to 1e300 and covariances that may be indefinite
+EXTREME_GRIDS = st.lists(st.sampled_from((-1e200, -1e150, -1e10, -3.0, 0.0, 2.5, 1e10, 1e150,
+                                          1e200)), min_size=1, max_size=3, unique=True)
+
+
+@given(toy_fits(), st.sampled_from(SHAPES), EXTREME_GRIDS, st.integers(0, 300),
+       st.sampled_from((0.0, 1e-3, 1.0, 1e6)), st.integers(0, 2**32 - 1))
+def test_a_margin_is_an_error_or_finite(fit_case, shape, grid, scale, shrink, seed):
+    fr, design, _ = fit_case
+    kind, target, with_grid = shape
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(design.k, design.k))
+    fr = dataclasses.replace(fr, beta=fr.beta * 10.0 ** scale,
+                             cov=A @ A.T - shrink * np.eye(design.k))
+    at = ("x", tuple(sorted(grid))) if with_grid else None
+    try:
+        rows = compute_margins(fr, design, MarginRequest(kind, target, at=at))
+    except MarginsError:
+        return
+    for row in rows:
+        assert np.isfinite([row.estimate, row.se, row.p, row.ci_low, row.ci_high]).all(), row
+        assert not np.isnan(row.z), row

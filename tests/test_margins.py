@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,8 +11,8 @@ import logitmargins as lm
 from logitmargins.dataset import Column
 from logitmargins.formula import substitute_matrix
 from logitmargins.logit import _newton
-from logitmargins.margins import (MarginsError, _compile, _evaluate, bootstrap_se,
-                                  compute_margins, margins_tsv, mean_design_row, zstar)
+from logitmargins.margins import (MarginsError, _compile, _evaluate, _mean_row,
+                                  bootstrap_se, compute_margins, margins_tsv, zstar)
 from oracles import ToyModel, fd_gradient
 from conftest import kernel_gradient, margin_rows
 
@@ -286,7 +287,7 @@ def test_aprv_memory_stays_blocked(corpus15k_fit):
 def test_mean_row_uses_fractional_indicators(toy_fit, toy_ds):
     fr, design = toy_fit
     tm = fr.term_map
-    row = mean_design_row(design, tm)
+    row = _mean_row(design.X, tm)
     g = toy_ds.column("g")
     share_b = float(np.mean([g.levels[c] == "b" for c in g.values]))
     assert row[tm.indicator_col("g", "b")] == pytest.approx(share_b, abs=1e-15)
@@ -494,18 +495,23 @@ def test_bootstrap_skips_failed_replicates_under_the_ceiling():
             rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
         except lm.FitError:
             continue
-        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
+        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta)[0])
     assert 0 < got.failures <= 10 and got.failures == 100 - len(est)
     # the weighted refits agree with these resample refits up to rounding
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
                                rtol=1e-12, atol=0)
 
 
-def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch):
+# every kind goes through the same weighted evaluation: row means, or the
+# row of sample means
+@pytest.mark.parametrize("req", [
+    lm.MarginRequest("aap", "univ"), lm.MarginRequest("mem", "univ"),
+    lm.MarginRequest("apm", "univ"), lm.MarginRequest("mem", "jif", at=("jif", (1.0, 5.0))),
+], ids=["aap-univ", "mem-univ", "apm-univ", "mem-jif-at"])
+def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req):
     # replicate b refits on default_rng(child_b).integers(0, n, size=n) over
     # SeedSequence(seed).spawn(reps), in spawn order; bench/oracle.py relies on it
     fr, design = corpus2k
-    req = lm.MarginRequest(kind="aap", target="univ")
     blocks = []
 
     def recorded(X, y, C, **kwargs):
@@ -519,13 +525,29 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch):
         idx = np.random.default_rng(child).integers(0, design.n, size=design.n)
         counts.append(np.bincount(idx, minlength=design.n))
         rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
-        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta, gradients=False)[0])
+        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta)[0])
     # the refits see the replicates' row counts in spawn order, 16 at a time
     assert [len(b) for b in blocks] == [16] * 6 + [4]
     assert np.array_equal(np.vstack(blocks), np.vstack(counts))
     assert got.failures == 0 and got.replicates == 100
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
                                rtol=1e-12, atol=0)
+
+
+def test_negative_variance_is_an_error_beyond_rounding(toy_fit):
+    fr, design = toy_fit
+    req = lm.MarginRequest("aap", "g", levels=("b",))
+    _, G = _evaluate(_compile(fr, design, req), fr.beta)
+    g = G[:, 0]
+    # cov - t g g' has variance (1 - t) g' cov g along g
+    unit = np.outer(g, g) * (g @ fr.cov @ g) / (g @ g) ** 2
+    indefinite = dataclasses.replace(fr, cov=fr.cov - 2.0 * unit)
+    with pytest.raises(MarginsError, match="'AAP g=b' has delta-method variance -"):
+        compute_margins(indefinite, design, req)
+    # at t = 1 the variance is 0 up to rounding: an SE of (about) 0, no error
+    singular = dataclasses.replace(fr, cov=fr.cov - unit)
+    row, = compute_margins(singular, design, req)
+    assert row.se < 1e-6 * math.sqrt(g @ fr.cov @ g)
 
 
 def test_ci_level_changes_width(toy_fit):
