@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -93,15 +93,17 @@ class FitResult:
     ll: float
     ll0: float
     n: int
-    k: int
     iterations: int
-    converged: bool
-    term_map: Optional[TermMap] = None
+    term_map: TermMap
     ll_trace: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", readonly_copy(self.beta))
         object.__setattr__(self, "cov", readonly_copy(self.cov))
+
+    @property
+    def k(self) -> int:
+        return len(self.beta)
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def _null_ll(ybar: float, n: int) -> float:
     return n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
 
 
-def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
+def _check_rank(X: np.ndarray, term_map: TermMap):
     n, k = X.shape
     sv = np.linalg.svd(X, compute_uv=False)
     tol = sv.max() * max(n, k) * np.finfo(np.float64).eps if sv.size else 0.0
@@ -131,12 +133,7 @@ def _check_rank(X: np.ndarray, term_map: Optional[TermMap]):
         # only a failing check pays for scipy: its pivoted QR names the columns
         import scipy.linalg
         piv = scipy.linalg.qr(X, mode="r", pivoting=True)[1]
-        dependent = sorted(piv[rank:])
-        if term_map is not None:
-            names = [term_map.labels[j] for j in dependent]
-        else:
-            names = dependent
-        raise RankDeficiencyError(names)
+        raise RankDeficiencyError(term_map.labels[j] for j in sorted(piv[rank:]))
 
 
 def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -209,8 +206,8 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, b))
 
 
-def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
-            term_map: Optional[TermMap] = None) -> list:
+def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
+            tol: float = 1e-10) -> list:
     """Newton-Raphson fits of one logit model under B frequency-weight rows.
 
     Row b of ``C`` (B x n) counts how often each data row enters fit b, as a
@@ -228,13 +225,14 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     convergence (a :class:`FitResult`); a step to a non-finite coefficient
     vector (``ValueError``).  A fit with a verdict leaves the active set.
     Returns one :class:`FitResult`, or the exception that fit raised, per
-    row of ``C``.  An invalid ``X`` or ``y`` raises at once, for the whole
-    block.
+    row of ``C``.  An invalid design, ``tol`` or ``max_iter`` raises at once,
+    for the whole block.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, k) and y (n,) with matching n")
+    if not (math.isfinite(tol) and tol > 0):
+        raise FitError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise FitError(f"max_iter must be non-negative, got {max_iter}")
+    X, y, term_map = design.X, design.y, design.term_map
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("response must be 0/1")
     if not np.isfinite(X).all():
@@ -254,6 +252,8 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
         except RankDeficiencyError as exc:
             out[b] = exc
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
+    if not act.size:
+        return out
     ones = C @ y  # weighted count of y = 1, exact for integer weights
     C = C[act]
     # per-fit constants: the rows a fit holds (1, else 0) and the weighted
@@ -271,7 +271,7 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     ll = prev_ll = _log_likelihoods(np.zeros_like(P), y, C)
     trace = ll[:, None]  # (A, iterations + 1)
     iterations = 0
-    while act.size:
+    while True:
         score, neg_h, resid = _score_hessians(X, y, C, P, buf)
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
         np.abs(resid, out=resid)
@@ -296,9 +296,9 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
             elif converged[a]:
                 cov = _cho_solve(L[a], np.eye(k))
                 out[b] = FitResult(beta=beta[a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
-                                   ll0=_null_ll(float(ones[b]) / n, n), n=n, k=k,
-                                   iterations=iterations, converged=True,
-                                   term_map=term_map, ll_trace=tuple(trace[a]))
+                                   ll0=_null_ll(float(ones[b]) / n, n), n=n,
+                                   iterations=iterations, term_map=term_map,
+                                   ll_trace=tuple(trace[a]))
             elif not np.isfinite(beta[a] + step[a]).all():
                 out[b] = ValueError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
@@ -327,15 +327,8 @@ def _newton(X, y, C=None, *, max_iter: int = 100, tol: float = 1e-10,
     return out
 
 
-def fit(
-    X: Union[np.ndarray, DesignMatrix],
-    y: Optional[np.ndarray] = None,
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    term_map: Optional[TermMap] = None,
-) -> FitResult:
-    """Fit the logit model by Newton-Raphson from beta = 0.
+def fit(design: DesignMatrix, *, max_iter: int = 100, tol: float = 1e-10) -> FitResult:
+    """Fit the logit model of a design by Newton-Raphson from beta = 0.
 
     Each iteration evaluates the score and Hessian once and factors the
     negative Hessian once.  A step that would lower the log-likelihood is
@@ -351,10 +344,7 @@ def fit(
     fit is the one-column case of the weighted Newton core the bootstrap
     uses.
     """
-    if isinstance(X, DesignMatrix):
-        term_map = X.term_map if term_map is None else term_map
-        X, y = X.X, X.y
-    result, = _newton(X, y, max_iter=max_iter, tol=tol, term_map=term_map)
+    result, = _newton(design, max_iter=max_iter, tol=tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -362,8 +352,6 @@ def fit(
 
 def fit_stats(fr: FitResult) -> FitStats:
     """McFadden pseudo R2, AIC/BIC, LR chi2, and per-coefficient inference."""
-    if not fr.converged:
-        raise FitError("fit_stats requires a converged fit")
     diag = np.diag(fr.cov)
     if (diag <= 0).any():
         raise FitError("degenerate covariance: non-positive diagonal")
@@ -390,20 +378,17 @@ def predict(fr: FitResult, rows: np.ndarray) -> np.ndarray:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     v = float(x)
     if not math.isfinite(v):
         raise ValueError("cannot serialize non-finite number")
-    return f"{v:.17g}"
+    # "-0" would load as the integer 0, which has no sign
+    return "-0.0" if v == 0.0 and math.copysign(1.0, v) < 0 else f"{v:.17g}"
 
 
 def to_json(fr: FitResult, formula_text: str) -> str:
     """Serialize a fit to the model JSON format (17 significant digits)."""
-    if fr.term_map is None:
-        raise ValueError("model JSON requires a term map")
     tm = fr.term_map.to_dict()
     parts = [
         f'"formula": {json.dumps(formula_text)}',
@@ -414,17 +399,15 @@ def to_json(fr: FitResult, formula_text: str) -> str:
         f'"ll": {_fmt(fr.ll)}',
         f'"ll0": {_fmt(fr.ll0)}',
         f'"n": {_fmt(fr.n)}',
-        f'"k": {_fmt(fr.k)}',
-        f'"converged": {_fmt(fr.converged)}',
         f'"iterations": {_fmt(fr.iterations)}',
     ]
     return "{" + ", ".join(parts) + "}\n"
 
 
-def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
-    if beta.ndim != 1 or not len(beta) == k == term_map.k:
-        raise ValueError(f"beta has shape {beta.shape}, but k={k} and the term map "
-                         f"has {term_map.k} columns")
+def _check_model(beta: np.ndarray, cov: np.ndarray, term_map: TermMap):
+    k = term_map.k
+    if beta.shape != (k,):
+        raise ValueError(f"beta has shape {beta.shape}, but the term map has {k} columns")
     if cov.shape != (k, k):
         raise ValueError(f"cov has shape {cov.shape}, expected ({k}, {k})")
     if not (np.isfinite(beta).all() and np.isfinite(cov).all()):
@@ -440,9 +423,9 @@ def _check_model(beta: np.ndarray, cov: np.ndarray, k: int, term_map: TermMap):
 
 
 def _typed(d: dict, name: str, types, what: str):
-    # JSON true/false load as bool, a subclass of int: only a bool field takes one
+    # JSON true/false load as bool, a subclass of int: no field takes one
     v = d[name]
-    if isinstance(v, bool) != (types is bool) or not isinstance(v, types):
+    if isinstance(v, bool) or not isinstance(v, types):
         raise ValueError(f"malformed model JSON: {name!r} must be {what}, got {v!r}")
     return v
 
@@ -450,12 +433,13 @@ def _typed(d: dict, name: str, types, what: str):
 def from_json(text: str) -> tuple[FitResult, str]:
     """Load a fit from model JSON; returns the fit and its formula text.
 
-    Raises ``ValueError`` for a field of the wrong type (``converged`` must
-    be a JSON boolean, ``k``, ``n`` and ``iterations`` integers, ``ll`` and
-    ``ll0`` finite numbers), unless ``n > k`` and ``iterations >= 0``, for
-    a term map whose columns disagree with its factors, and unless ``beta``
-    has one entry per term-map column and ``cov`` is a finite, symmetric,
-    positive-definite k x k matrix (one with a Cholesky factor).
+    Raises ``ValueError`` for a field of the wrong type (``n`` and
+    ``iterations`` must be integers, ``ll`` and ``ll0`` finite numbers),
+    unless ``n > k`` and ``iterations >= 0``, for a term map whose columns
+    disagree with its factors, and unless ``beta`` has one entry per
+    term-map column (k of them) and ``cov`` is a finite, symmetric,
+    positive-definite k x k matrix (one with a Cholesky factor).  Other
+    keys, such as the ``k`` and ``converged`` of earlier files, are ignored.
     """
     d = json.loads(text)
     if not isinstance(d, dict) or not isinstance(d.get("formula"), str):
@@ -464,17 +448,14 @@ def from_json(text: str) -> tuple[FitResult, str]:
         tm = TermMap.from_dict(d["term_map"])
         beta = np.array(d["beta"], dtype=np.float64)
         cov = np.array(d["cov"], dtype=np.float64)
-        k = _typed(d, "k", int, "an integer")
-        _check_model(beta, cov, k, tm)
+        _check_model(beta, cov, tm)
         fr = FitResult(
             beta=beta,
             cov=cov,
             ll=float(_typed(d, "ll", (int, float), "a number")),
             ll0=float(_typed(d, "ll0", (int, float), "a number")),
             n=_typed(d, "n", int, "an integer"),
-            k=k,
             iterations=_typed(d, "iterations", int, "an integer"),
-            converged=_typed(d, "converged", bool, "a boolean"),
             term_map=tm,
         )
     except (TypeError, AttributeError, OverflowError) as exc:

@@ -5,10 +5,12 @@ counterfactual *scenarios* and an R x S *contrast* matrix ``L``.  A scenario
 overrides, in every row, the design columns ``C`` of one or two variables:
 a factor's indicators take the 0/1 pattern of one level, and a continuous
 variable's column takes a value v while its linked square takes v*v, by
-construction.  With the offset ``r = X@b - X[:,C]@b[C]`` computed once, the
-scenarios' linear predictors are ``r + V@b[C]``; the mean of ``expit`` over
-rows is each scenario's estimate.  Output rows are ``L@est``: an AAP, APM or
-APRV row is one scenario, an AME, MEM or MERV row the difference of two.
+construction.  With the offset ``r = X@b0`` computed once, where ``b0`` is
+``b`` with its entries ``C`` set to 0 (so no term is subtracted, and none
+cancels), the scenarios' linear predictors are ``r + V@b[C]``; the mean of
+``expit`` over rows is each scenario's estimate.  Output rows are ``L@est``:
+an AAP, APM or APRV row is one scenario, an AME, MEM or MERV row the
+difference of two.
 
 The delta method needs each scenario's gradient in the coefficients: one
 GEMM ``X.T@W/n`` with ``W = p(1-p)``, whose overridden rows ``C`` are then
@@ -186,7 +188,7 @@ def _check_continuous(tm: TermMap, var: str):
         raise MarginsError(f"{var!r} is not a continuous variable in the model") from None
 
 
-def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
+def _compile(fr: FitResult, design: DesignMatrix, request: MarginRequest) -> _Plan:
     """Compile a request into deduplicated scenarios and their contrast.
 
     Each output row is a (label, at, plus, minus) spec; ``plus`` and
@@ -194,10 +196,7 @@ def _compile(fr: FitResult, X, request: MarginRequest) -> _Plan:
     ``minus`` is the ``plus`` scenario alone.  A grid value whose square
     overflows, for a variable with a squared term, is a :class:`MarginsError`.
     """
-    if fr.term_map is None:
-        raise MarginsError("margins require a fit carrying a term map")
-    tm = fr.term_map
-    arr = X.X if isinstance(X, DesignMatrix) else np.asarray(X, dtype=np.float64)
+    tm, arr = fr.term_map, design.X
     kind, target = request.kind, request.target
     atmeans = kind in ("apm", "mem")
     effect = kind in ("ame", "mem", "merv")
@@ -314,8 +313,9 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
     if plan.atmeans:
         X, weights = _mean_row(X, plan.term_map, weights)[None, :], None
     n, k = X.shape
-    C = [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]
-    r = X @ beta - X[:, C] @ beta[C]
+    kept = beta.copy()  # the overridden columns add an exact +0.0 to the offset
+    kept[[*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]] = 0.0
+    r = X @ kept
     b_lin = beta[plan.lin] if plan.lin is not None else 0.0
     b_sq = beta[plan.sq] if plan.sq is not None else 0.0
     fixed = plan.fvals @ beta[plan.fcols]
@@ -385,14 +385,15 @@ def _margin_rows(plan: _Plan, est: np.ndarray, se: np.ndarray,
                 plan.labels, plan.at, plan.extrapolated, est, se, z, p)]
 
 
-def compute_margins(fr: FitResult, X, request: MarginRequest) -> list[MarginRow]:
+def compute_margins(fr: FitResult, design: DesignMatrix,
+                    request: MarginRequest) -> list[MarginRow]:
     """The rows of a :class:`MarginRequest` with delta-method inference.
 
-    ``X`` is the design (or its matrix) the predictions average over.  Rows
+    The predictions average over the rows of ``design``.  Rows
     whose grid value lies outside the observed range of the grid variable
     are flagged ``extrapolated``.
     """
-    plan = _compile(fr, X, request)
+    plan = _compile(fr, design, request)
     est, G = _evaluate(plan, fr.beta)
     with np.errstate(all="ignore"):
         var = np.einsum("kr,kr->r", fr.cov @ G, G)
@@ -436,10 +437,12 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     """
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
+    if seed < 0:
+        raise MarginsError(f"bootstrap seed must be non-negative, got {seed}")
     full_fit = fit(design)
     plan = _compile(full_fit, design, request)
     full_est, _ = _evaluate(plan, full_fit.beta)
-    X, n = design.X, design.n
+    n = design.n
     children = np.random.SeedSequence(seed).spawn(reps)
     kept = []
     for b0 in range(0, reps, _BLOCK_COLUMNS):
@@ -448,7 +451,7 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         for b, child in enumerate(block):
             idx = np.random.default_rng(child).integers(0, n, size=n)
             C[b] = np.bincount(idx, minlength=n)
-        for c, fr in zip(C, _newton(X, design.y, C, term_map=design.term_map)):
+        for c, fr in zip(C, _newton(design, C)):
             if isinstance(fr, FitError):
                 continue
             if isinstance(fr, Exception):

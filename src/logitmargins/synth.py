@@ -79,6 +79,8 @@ def _lognormal_params(mean: float, sd: float) -> tuple[float, float]:
 def _validate(cfg: SynthConfig):
     if cfg.n <= 0:
         raise SynthError(f"corpus size must be positive, got {cfg.n}")
+    if cfg.seed < 0:
+        raise SynthError(f"seed must be non-negative, got {cfg.seed}")
     for var, probs in cfg.factors.items():
         vals = np.array(list(probs.values()), dtype=np.float64)
         if (vals < 0).any() or not np.isfinite(vals).all():

@@ -8,6 +8,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import logitmargins as lm
+from logitmargins.formula import ColumnRole
 from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -22,6 +23,19 @@ BOOT_SEED = 1101
 settings.register_profile("repro", derandomize=True, max_examples=100, deadline=None,
                           database=None, print_blob=True)
 settings.load_profile("repro")
+
+
+def plain_term_map(k: int) -> lm.TermMap:
+    """The term map of an intercept and k - 1 plain columns named x1, x2, ..."""
+    return lm.TermMap(columns=(ColumnRole(None, "intercept"),
+                               *(ColumnRole(f"x{j}", "identity") for j in range(1, k))),
+                      reference={}, factor_levels={})
+
+
+def plain_design(X, y) -> lm.DesignMatrix:
+    """``X`` and ``y`` as a design whose first column is the intercept and
+    whose others are plain columns x1, x2, ..."""
+    return lm.DesignMatrix(X, y, plain_term_map(X.shape[1]))
 
 
 def margin_rows(fr, design, kind: str, target: str, **fields) -> list:

@@ -20,7 +20,8 @@ from scipy.special import expit
 import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from oracles import ToyModel, fd_gradient
-from conftest import BOOT_SEED, CORPUS_SEED, kernel_gradient, margin_rows, toy_dataset
+from conftest import (BOOT_SEED, CORPUS_SEED, kernel_gradient, margin_rows, plain_design,
+                      plain_term_map, toy_dataset)
 
 MODEL3 = ("top10 ~ C(univ) + C(subject) + C(doctype) + jif + jif^2 + years "
           "+ authors + pages + pages^2")
@@ -38,7 +39,8 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "logitmargins", *args],
+    # -W error: a warning fails the call, as filterwarnings does in-process
+    return subprocess.run([sys.executable, "-W", "error", "-m", "logitmargins", *args],
                           capture_output=True, text=True, cwd=cwd)
 
 
@@ -64,12 +66,13 @@ def _ame_zero(b_lin: float, b_sq: float, lo: float, hi: float) -> float:
                           ColumnRole("v", "identity"), ColumnRole("v", "square")),
                  reference={}, factor_levels={})
     grid_x = np.linspace(1.0, 40.0, 7)
-    X = np.column_stack([np.ones(7), grid_x, grid_x ** 2])
+    design = lm.DesignMatrix(np.column_stack([np.ones(7), grid_x, grid_x ** 2]),
+                             np.zeros(7), tm)
     fr = lm.FitResult(beta=np.array([-2.0, b_lin, b_sq]), cov=np.eye(3), ll=-1.0,
-                      ll0=-2.0, n=7, k=3, iterations=1, converged=True, term_map=tm)
+                      ll0=-2.0, n=7, iterations=1, term_map=tm)
 
     def ame(v: float) -> float:
-        return margin_rows(fr, X, "ame", "v", at=("v", (v,)))[0].estimate
+        return margin_rows(fr, design, "ame", "v", at=("v", (v,)))[0].estimate
 
     a, b = lo, hi
     fa = ame(a)
@@ -94,7 +97,7 @@ def test_c02_turning_points_from_coefficients_alone():
 
 def test_c03_predicted_probability_spot_value():
     fr = lm.FitResult(beta=np.array([-3.961]), cov=np.eye(1), ll=0.0, ll0=0.0,
-                      n=1, k=1, iterations=0, converged=True)
+                      n=1, iterations=0, term_map=plain_term_map(1))
     p = float(lm.predict(fr, np.array([[1.0]]))[0])
     ok = abs(p - 0.01869) <= 1e-5
     report(3, "logistic(-3.961) = 0.01869 +- 1e-5", ok, f"got {p:.6f}")
@@ -110,7 +113,7 @@ def test_c04_mean_fitted_probability_equals_ybar():
         X = np.column_stack([np.ones(n), rng.normal(0, 1.5, size=(n, k - 1))])
         beta = rng.normal(0, 0.8, size=k)
         y = (rng.random(n) < expit(X @ beta)).astype(float)
-        fr = lm.fit(X, y)
+        fr = lm.fit(plain_design(X, y))
         worst = max(worst, abs(float(expit(X @ fr.beta).mean()) - float(y.mean())))
     ok = worst <= 1e-8
     report(4, "mean fitted probability equals ybar to 1e-8 (20 datasets)",

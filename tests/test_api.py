@@ -3,10 +3,12 @@
 Adding or removing a name or a flag changes one line here.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import logitmargins as lm
@@ -47,6 +49,37 @@ def test_cli_options():
                         if s not in ("-h", "--help"))
            for name, p in sub.choices.items()}
     assert got == OPTIONS
+
+
+# every fit and every margin is of a design; a FitResult stores each fact once
+# (its k is len(beta), and a fit that did not converge raises instead)
+SIGNATURES = {
+    lm.fit: "(design: 'DesignMatrix', *, max_iter: 'int' = 100, tol: 'float' = 1e-10)"
+            " -> 'FitResult'",
+    lm.compute_margins: "(fr: 'FitResult', design: 'DesignMatrix', request: 'MarginRequest')"
+                        " -> 'list[MarginRow]'",
+    lm.bootstrap_se: "(design: 'DesignMatrix', request: 'MarginRequest', reps: 'int', "
+                     "seed: 'int', *, workers: 'Optional[int]' = None) -> 'BootstrapResult'",
+}
+FIT_FIELDS = ["beta", "cov", "ll", "ll0", "n", "iterations", "term_map", "ll_trace"]
+
+
+def test_call_forms():
+    for f, signature in SIGNATURES.items():
+        assert str(inspect.signature(f)) == signature, f.__name__
+    assert [f.name for f in dataclasses.fields(lm.FitResult)] == FIT_FIELDS
+
+
+def test_model_json_with_k_and_converged_loads_to_the_same_fit(toy_fit):
+    # a file in the earlier format, which also stored k and converged: both
+    # keys are ignored
+    fr, _ = toy_fit
+    path = Path(__file__).parent / "data" / "toy_model_with_k_and_converged.json"
+    back, formula = lm.from_json(path.read_text())
+    assert np.array_equal(back.beta, fr.beta) and np.array_equal(back.cov, fr.cov)
+    assert ((back.ll, back.ll0, back.n, back.iterations, back.term_map)
+            == (fr.ll, fr.ll0, fr.n, fr.iterations, fr.term_map))
+    assert lm.to_json(back, formula) == lm.to_json(fr, "y ~ C(g) + x + x^2")
 
 
 def test_margins_schema_is_a_usage_error(capsys):

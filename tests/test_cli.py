@@ -21,7 +21,8 @@ SCHEMA = ("top10:binary,univ:categorical[univ1|univ2|univ3|univ4],"
 
 
 def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "logitmargins", *args],
+    # -W error: a warning fails the call, as filterwarnings does in-process
+    return subprocess.run([sys.executable, "-W", "error", "-m", "logitmargins", *args],
                           capture_output=True, text=True, **kwargs)
 
 
@@ -99,7 +100,7 @@ def test_outputs_of_a_wide_model_do_not_depend_on_the_blas_thread_count(tmp_path
                          "--seed", "21"]}
     outputs = outputs_at_1_and_2_threads(
         tmp_path, str(data), ["--model", model, "--schema", schema], requests)
-    assert json.loads(outputs[0][0])["k"] == 22
+    assert len(json.loads(outputs[0][0])["beta"]) == 22
     assert outputs[0] == outputs[1]
 
 
@@ -168,9 +169,8 @@ def test_bad_formula_exits_2_with_caret(workspace):
 def test_model_json_has_17_digit_numbers(workspace):
     text = (workspace / "m.json").read_text()
     d = json.loads(text)
-    assert d["k"] == 15 and d["converged"] is True
-    assert set(d) == {"formula", "term_map", "beta", "cov", "ll", "ll0", "n", "k",
-                      "converged", "iterations"}
+    assert len(d["beta"]) == 15
+    assert set(d) == {"formula", "term_map", "beta", "cov", "ll", "ll0", "n", "iterations"}
     # every float round-trips exactly through the printed representation
     fr, _ = lm.from_json(text)
     assert lm.to_json(fr, d["formula"]) == text
@@ -449,15 +449,11 @@ def test_indefinite_model_cov_exits_1(workspace, tmp_path):
 # a field of the wrong type or an impossible value, a term map whose columns
 # disagree with its factors, and a term map that loads but differs from the
 # one its formula builds on the data, each give one error line
-@pytest.mark.parametrize("case", ["k_null", "renamed_column", "converged_str",
-                                  "reference_empty", "level_null", "n_negative"])
+@pytest.mark.parametrize("case", ["renamed_column", "reference_empty", "level_null",
+                                  "n_negative"])
 def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
     d = json.loads((workspace / "m.json").read_text())
-    if case == "k_null":
-        d["k"] = None
-    elif case == "converged_str":
-        d["converged"] = "no"
-    elif case == "reference_empty":
+    if case == "reference_empty":
         d["term_map"]["reference"] = {}
     elif case == "level_null":
         d["term_map"]["columns"][1]["level"] = None
@@ -527,16 +523,22 @@ def test_grid_value_whose_square_overflows_exits_1(workspace):
     assert row.split()[2:5] == ["1e+150", "0", "0"], row
 
 
+def write_model_with_coefficients(workspace, path, **beta):
+    """The workspace model with the given linear coefficients and cov = I."""
+    d = json.loads((workspace / "m.json").read_text())
+    for var, b in beta.items():
+        d["beta"][[c["source"] == var and c["transform"] == "identity"
+                   for c in d["term_map"]["columns"]].index(True)] = b
+    d["cov"] = np.eye(len(d["beta"])).tolist()
+    path.write_text(json.dumps(d))
+
+
 @pytest.mark.parametrize("plot", [False, True], ids=["table", "plot"])
 def test_overflowing_coefficient_exits_1(workspace, tmp_path, plot):
-    # x * beta overflows to inf, and inf - inf is nan: an error, never rows of
-    # nan with SE 0 or a plot of them
-    d = json.loads((workspace / "m.json").read_text())
-    jif = [c["source"] == "jif" and c["transform"] == "identity"
-           for c in d["term_map"]["columns"]].index(True)
-    d["beta"][jif] = 1e307
-    d["cov"] = np.eye(d["k"]).tolist()
-    (tmp_path / "big.json").write_text(json.dumps(d))
+    # the offset's years and authors terms overflow to inf and -inf, whose
+    # sum is nan: an error, never rows of nan with SE 0 or a plot of them
+    write_model_with_coefficients(workspace, tmp_path / "big.json",
+                                  years=1e307, authors=-1e307)
     outputs = ["--table", str(tmp_path / "t.tsv")]
     if plot:
         outputs += ["--plot", str(tmp_path / "p.svg")]
@@ -547,6 +549,58 @@ def test_overflowing_coefficient_exits_1(workspace, tmp_path, plot):
     assert r.stderr.splitlines() == ["error: margin row 'AAP jif' at 0 is not finite: "
                                      "the coefficients or grid values are too large"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
+
+def test_saturating_coefficient_gives_saturated_rows(workspace, tmp_path):
+    # beta(jif) = 1e307 enters no sum but jif's own term: at jif = 0 the
+    # prediction is that of the other columns, and at jif = 1 and 2 every
+    # p is 1, so the rows are 1 with SE 0
+    write_model_with_coefficients(workspace, tmp_path / "big.json", jif=1e307)
+    r = run_cli("margins", "--model", str(tmp_path / "big.json"),
+                "--data", str(workspace / "s.csv"), "--aap", "jif", "--at", "jif=0:2:1",
+                "--table", str(tmp_path / "t.tsv"))
+    assert r.returncode == 0, r.stderr
+    rows = [line.split("\t") for line in (tmp_path / "t.tsv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["0", "1", "2"]
+    assert 0.0 < float(rows[0][2]) < 1.0 and float(rows[0][3]) > 0.0
+    assert [row[2:4] for row in rows[1:]] == [["1", "0"], ["1", "0"]]
+
+
+def test_huge_covariate_is_one_rank_error_line(tmp_path):
+    # with an intercept, x of order 1e160 is numerically dependent on it; no
+    # column moment is computed for a fit the rank check has already failed
+    x = np.random.default_rng(1).normal(size=40) * 1e160
+    rows = [f"{i % 2},{v!r}" for i, v in enumerate(x.tolist())]
+    (tmp_path / "huge.csv").write_text("y,x\n" + "\n".join(rows) + "\n")
+    r = run_cli("fit", "--data", str(tmp_path / "huge.csv"), "--model", "y ~ x")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: design matrix is rank deficient; dependent columns: intercept"]
+
+
+# a numeric flag outside its range is rejected before any work is done
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param("margins", ["--aap", "C(univ)", "--vce", "bootstrap", "--reps", "100",
+                             "--seed", "-1"],
+                 "bootstrap seed must be non-negative, got -1", id="bootstrap-seed"),
+    pytest.param("synth", ["--n", "10", "--seed", "-1"],
+                 "seed must be non-negative, got -1", id="synth-seed"),
+    pytest.param("fit", ["--tol", "nan"], "tol must be finite and positive, got nan",
+                 id="tol-nan"),
+    pytest.param("fit", ["--tol", "-1"], "tol must be finite and positive, got -1.0",
+                 id="tol-negative"),
+    pytest.param("fit", ["--max-iter", "-3"], "max_iter must be non-negative, got -3",
+                 id="max-iter-negative"),
+])
+def test_out_of_range_number_exits_1(workspace, tmp_path, command, flags, message):
+    inputs = {"margins": ["--model", str(workspace / "m.json"),
+                          "--data", str(workspace / "s.csv")],
+              "synth": ["--out", str(tmp_path / "x.csv")],
+              "fit": ["--data", str(workspace / "s.csv"), "--model", MODEL1]}
+    r = run_cli(command, *inputs[command], *flags)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_without_a_grid_exits_1_before_any_output(workspace, tmp_path):

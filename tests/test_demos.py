@@ -23,7 +23,8 @@ def test_demos_run_and_write_their_plots(tmp_path):
     paths = (str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     for name in SCRIPTS:
-        r = subprocess.run([sys.executable, name], cwd=tmp_path, env=env,
+        # -W error: a warning fails the demo, as filterwarnings does in-process
+        r = subprocess.run([sys.executable, "-W", "error", name], cwd=tmp_path, env=env,
                            capture_output=True, text=True, timeout=300)
         assert r.returncode == 0, f"{name}:\n{r.stderr}"
     for svg in SVGS:

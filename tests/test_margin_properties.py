@@ -61,8 +61,8 @@ def toy_fit(n_levels: int, n: int, seed: int):
     beta[design.term_map.square_col("x")] *= 0.3
     A = rng.normal(scale=0.1, size=(k, k))
     cov = A @ A.T + 1e-3 * np.eye(k)
-    fr = lm.FitResult(beta=beta, cov=cov, ll=-1.0, ll0=-1.0, n=n, k=k, iterations=1,
-                      converged=True, term_map=design.term_map)
+    fr = lm.FitResult(beta=beta, cov=cov, ll=-1.0, ll0=-1.0, n=n, iterations=1,
+                      term_map=design.term_map)
     oracle = ToyModel(factors={"g": levels[1:]}, continuous={"x": True, "z": False},
                       raw={"g": [levels[c] for c in codes], "x": list(x), "z": list(z)})
     return fr, design, oracle

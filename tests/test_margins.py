@@ -147,8 +147,7 @@ def _flat_fit(design, cov_scale: float) -> lm.FitResult:
     beta = np.zeros(design.k)
     beta[0] = math.log(ybar / (1 - ybar))
     return lm.FitResult(beta=beta, cov=np.eye(design.k) * cov_scale, ll=-1.0, ll0=-1.0,
-                        n=design.n, k=design.k, iterations=1, converged=True,
-                        term_map=design.term_map)
+                        n=design.n, iterations=1, term_map=design.term_map)
 
 
 def test_flat_model_gives_ybar_everywhere(toy_fit):
@@ -258,7 +257,8 @@ def test_aprv_single_level_consistent_with_aap_curve(toy_fit_bystander):
     grid = (0.5, 1.0, 1.5)
     via_aprv = margin_rows(fr, design, "aprv", "g", levels=("b",), at=("x", grid))
     Xb = substitute_matrix(design.X, fr.term_map, "g", "b")
-    via_curve = margin_rows(fr, Xb, "aap", "x", at=("x", grid))
+    via_curve = margin_rows(fr, lm.DesignMatrix(Xb, design.y, design.term_map), "aap", "x",
+                            at=("x", grid))
     for a, b in zip(via_aprv, via_curve, strict=True):
         assert a.estimate == pytest.approx(b.estimate, abs=TOL)
         assert a.se == pytest.approx(b.se, abs=TOL)
@@ -491,11 +491,12 @@ def test_bootstrap_skips_failed_replicates_under_the_ceiling():
     est = []
     for child in np.random.SeedSequence(0).spawn(100):
         idx = np.random.default_rng(child).integers(0, n, size=n)
+        resample = lm.DesignMatrix(design.X[idx], design.y[idx], design.term_map)
         try:
-            rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
+            rf = lm.fit(resample)
         except lm.FitError:
             continue
-        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta)[0])
+        est.append(_evaluate(_compile(rf, resample, req), rf.beta)[0])
     assert 0 < got.failures <= 10 and got.failures == 100 - len(est)
     # the weighted refits agree with these resample refits up to rounding
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
@@ -514,9 +515,9 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req
     fr, design = corpus2k
     blocks = []
 
-    def recorded(X, y, C, **kwargs):
+    def recorded(design, C, **kwargs):
         blocks.append(C.copy())
-        return _newton(X, y, C, **kwargs)
+        return _newton(design, C, **kwargs)
 
     monkeypatch.setattr("logitmargins.margins._newton", recorded)
     got = bootstrap_se(design, req, reps=100, seed=2)
@@ -524,8 +525,9 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req
     for child in np.random.SeedSequence(2).spawn(100):
         idx = np.random.default_rng(child).integers(0, design.n, size=design.n)
         counts.append(np.bincount(idx, minlength=design.n))
-        rf = lm.fit(design.X[idx], design.y[idx], term_map=design.term_map)
-        est.append(_evaluate(_compile(rf, design.X[idx], req), rf.beta)[0])
+        resample = lm.DesignMatrix(design.X[idx], design.y[idx], design.term_map)
+        rf = lm.fit(resample)
+        est.append(_evaluate(_compile(rf, resample, req), rf.beta)[0])
     # the refits see the replicates' row counts in spawn order, 16 at a time
     assert [len(b) for b in blocks] == [16] * 6 + [4]
     assert np.array_equal(np.vstack(blocks), np.vstack(counts))
@@ -548,6 +550,20 @@ def test_negative_variance_is_an_error_beyond_rounding(toy_fit):
     singular = dataclasses.replace(fr, cov=fr.cov - unit)
     row, = compute_margins(singular, design, req)
     assert row.se < 1e-6 * math.sqrt(g @ fr.cov @ g)
+
+
+def test_offset_keeps_the_digits_of_the_columns_a_scenario_keeps(corpus15k_fit):
+    # with beta(jif) = 1e15, AAP jif at 0 is the mean prediction from the other
+    # columns; an offset X@b - X[:, C]@b[C] cancels their term (0.0823 for 0.0768)
+    fr, design = corpus15k_fit
+    C = [fr.term_map.linear_col("jif"), fr.term_map.square_col("jif")]
+    beta = np.array(fr.beta)
+    beta[C[0]] = 1e15
+    row, = margin_rows(dataclasses.replace(fr, beta=beta), design, "aap", "jif",
+                       at=("jif", (0.0,)))
+    rest = np.setdiff1d(np.arange(fr.k), C)
+    assert row.estimate == pytest.approx(expit(design.X[:, rest] @ beta[rest]).mean(),
+                                         rel=1e-12)
 
 
 def test_ci_level_changes_width(toy_fit):
