@@ -7,6 +7,7 @@ identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from typing import Optional
 
@@ -241,12 +242,13 @@ def _plot_rows(rows, path, requests) -> None:
                     y_range=(0.0, 1.0) if predictions else None)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render(spec))
-    with open(f"{path}.csv", "w", encoding="utf-8") as fh:
-        fh.write("series,at,estimate,ci_low,ci_high\n")
+    with open(f"{path}.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("series", "at", "estimate", "ci_low", "ci_high"))
         for label, rs in by_label.items():
             for r in rs:
-                fh.write(f"{label},{r.at_value:.17g},{r.estimate:.17g},"
-                         f"{r.ci_low:.17g},{r.ci_high:.17g}\n")
+                numbers = (r.at_value, r.estimate, r.ci_low, r.ci_high)
+                writer.writerow([label, *(f"{v:.17g}" for v in numbers)])
 
 
 def cmd_margins(args) -> int:
@@ -254,7 +256,7 @@ def cmd_margins(args) -> int:
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             fr, formula_text = logit_mod.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read model JSON {args.model}: {exc}") from None
     try:
         spec = parse_formula(formula_text)

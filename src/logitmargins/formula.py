@@ -262,7 +262,12 @@ class TermMap:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense design matrix, response vector, and the term map that built them."""
+    """Dense design matrix, response vector, and the term map that built them.
+
+    Construction raises :class:`FormulaError` unless ``X`` is a finite n x k
+    matrix, k the term map's width, and ``y`` n values in {0, 1}.  Any n is
+    a design: a fit needs n > k, a margin on new rows does not.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -275,6 +280,10 @@ class DesignMatrix:
             raise FormulaError("design shapes disagree")
         if self.X.shape[1] != self.term_map.k:
             raise FormulaError("design width disagrees with term map")
+        if not np.isin(self.y, (0.0, 1.0)).all():
+            raise FormulaError("response must be 0/1")
+        if not np.isfinite(self.X).all():
+            raise FormulaError("design matrix has non-finite values")
 
     @property
     def n(self) -> int:

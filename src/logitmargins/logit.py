@@ -14,6 +14,7 @@ from .formula import DesignMatrix, TermMap
 
 SCORE_TOL = 1e-6
 _TILE = 16  # the widest output tile of a product summed over the data rows
+_CHUNK = 8192  # the most data rows one call of such a product sums over
 _SEPARATION_BETA = 30.0
 _SEPARATION_PROB = 1e-10
 
@@ -125,11 +126,8 @@ def _null_ll(ybar: float, n: int) -> float:
 
 
 def _check_rank(X: np.ndarray, term_map: TermMap):
-    n, k = X.shape
-    sv = np.linalg.svd(X, compute_uv=False)
-    tol = sv.max() * max(n, k) * np.finfo(np.float64).eps if sv.size else 0.0
-    rank = int((sv > tol).sum())
-    if rank < k:
+    rank = np.linalg.matrix_rank(X)
+    if rank < X.shape[1]:
         # only a failing check pays for scipy: its pivoted QR names the columns
         import scipy.linalg
         piv = scipy.linalg.qr(X, mode="r", pivoting=True)[1]
@@ -150,28 +148,33 @@ def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarra
 
 
 def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None):
-    """``a @ b`` summed over the n data rows, in output tiles of at most 16 x 16.
+    """``a @ b`` summed over the n data rows, in output tiles of at most 16 x 16,
+    each the sum of its partials over chunks of at most 8192 rows, added in
+    chunk order.
 
-    OpenBLAS splits a wider output between threads in ways that change its
-    bits; a tile gave the same bits at 1 and 2 threads on every design tried
-    (a single-column product at large n aside, see the README).  An output
-    within one tile is a single call.
+    OpenBLAS splits a wider output, or a longer sum, between threads in ways
+    that change its bits; a tile over one chunk gave the same bits at 1 and
+    2 threads on every shape tried (see the README).  A product within one
+    tile and one chunk is a single call.
     """
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], _TILE):
         for j in range(0, b.shape[1], _TILE):
-            np.matmul(a[i:i + _TILE], b[:, j:j + _TILE], out=out[i:i + _TILE, j:j + _TILE])
+            tile = out[i:i + _TILE, j:j + _TILE]
+            np.matmul(a[i:i + _TILE, :_CHUNK], b[:_CHUNK, j:j + _TILE], out=tile)
+            for r in range(_CHUNK, a.shape[1], _CHUNK):
+                tile += a[i:i + _TILE, r:r + _CHUNK] @ b[r:r + _CHUNK, j:j + _TILE]
     return out
 
 
-def _score_hessians(X, y, C, P, buf):
+def _score_hessians(X, y, C, P):
     """Scores (c(y-p))'X as (A, k), negative Hessians X'diag(c p(1-p))X as
     (A, k, k), and residuals y - p as (A, n), of the A fits whose
     probabilities and weights are the rows of ``P`` and ``C``.
 
-    Each Hessian is one tiled product ``buf.T @ X`` with ``buf`` the n x k
-    buffer refilled with the weighted rows.
+    Each Hessian is one tiled product ``(X * w).T @ X``, with ``w`` its fit's
+    row of c p(1-p).
     """
     resid = y - P
     score = _matmul_tiles(resid * C, X)
@@ -180,8 +183,7 @@ def _score_hessians(X, y, C, P, buf):
     W *= C
     neg_h = np.empty((len(P), X.shape[1], X.shape[1]))
     for a, w in enumerate(W):
-        np.multiply(X, w[:, None], out=buf)
-        _matmul_tiles(buf.T, X, out=neg_h[a])
+        _matmul_tiles((X * w[:, None]).T, X, out=neg_h[a])
     return score, neg_h, resid
 
 
@@ -225,30 +227,23 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     convergence (a :class:`FitResult`); a step to a non-finite coefficient
     vector (``ValueError``).  A fit with a verdict leaves the active set.
     Returns one :class:`FitResult`, or the exception that fit raised, per
-    row of ``C``.  An invalid design, ``tol`` or ``max_iter`` raises at once,
-    for the whole block.
+    row of ``C``.  An invalid ``tol`` or ``max_iter``, or a design with no
+    more rows than columns, raises at once, for the whole block; the
+    :class:`DesignMatrix` has already checked its response and values.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise FitError(f"tol must be finite and positive, got {tol}")
     if max_iter < 0:
         raise FitError(f"max_iter must be non-negative, got {max_iter}")
     X, y, term_map = design.X, design.y, design.term_map
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("response must be 0/1")
-    if not np.isfinite(X).all():
-        raise ValueError("design matrix has non-finite values")
     n, k = X.shape
     if n <= k:
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
     out: list = [None] * len(C)
-    # the one n x k buffer: weighted rows for the rank check, the column
-    # scales and every Hessian, refilled in place
-    buf = np.empty_like(X)
     for b, c in enumerate(C):
-        np.multiply(X, np.sqrt(c)[:, None], out=buf)
         try:
-            _check_rank(buf, term_map)
+            _check_rank(X * np.sqrt(c)[:, None], term_map)
         except RankDeficiencyError as exc:
             out[b] = exc
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
@@ -260,9 +255,9 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     # sds of the non-intercept columns, from moments about the full-sample
     # mean (every weighted mean is close to it, so no precision is lost)
     present = (C > 0).astype(np.float64)
-    np.subtract(X, X.mean(axis=0), out=buf)
-    shift = _matmul_tiles(C, buf) / n
-    col_var = _matmul_tiles(C, np.square(buf, out=buf)) / n - shift * shift
+    D = X - X.mean(axis=0)
+    shift = _matmul_tiles(C, D) / n
+    col_var = _matmul_tiles(C, np.square(D, out=D)) / n - shift * shift
     col_sd = np.sqrt(np.maximum(col_var[:, 1:], 0.0))
     col_scale = np.where(col_sd > 0, col_sd, 1.0)
 
@@ -272,7 +267,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     trace = ll[:, None]  # (A, iterations + 1)
     iterations = 0
     while True:
-        score, neg_h, resid = _score_hessians(X, y, C, P, buf)
+        score, neg_h, resid = _score_hessians(X, y, C, P)
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
         np.abs(resid, out=resid)
         resid *= present
@@ -433,7 +428,8 @@ def _typed(d: dict, name: str, types, what: str):
 def from_json(text: str) -> tuple[FitResult, str]:
     """Load a fit from model JSON; returns the fit and its formula text.
 
-    Raises ``ValueError`` for a field of the wrong type (``n`` and
+    Raises ``ValueError`` for a missing key (of the object, its term map or
+    a term-map column), for a field of the wrong type (``n`` and
     ``iterations`` must be integers, ``ll`` and ``ll0`` finite numbers),
     unless ``n > k`` and ``iterations >= 0``, for a term map whose columns
     disagree with its factors, and unless ``beta`` has one entry per
@@ -458,6 +454,8 @@ def from_json(text: str) -> tuple[FitResult, str]:
             iterations=_typed(d, "iterations", int, "an integer"),
             term_map=tm,
         )
+    except KeyError as exc:
+        raise ValueError(f"malformed model JSON: missing key {exc}") from None
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from None
     if not (math.isfinite(fr.ll) and math.isfinite(fr.ll0)):

@@ -25,12 +25,12 @@ Scenarios are evaluated in blocks of at most 16 and about ``BLOCK_BYTES``
 of float64, so memory stays flat however long the grid.  A block is stored
 scenario-major, S x n: each scenario's mean is a contiguous row sum, whose
 bits do not depend on the block the scenario falls in.  The gradient
-product ``X.T @ D.T`` reads the transposed block without a copy, in output
-tiles of at most 16 x 16, where OpenBLAS gives the same bits at any thread
-count.  A nonparametric bootstrap is available as a cross-check.  Its
-replicates are row weights, never resample copies, and each is evaluated by
-the same code under its weights: weighted row means, or the weighted row of
-sample means, and no gradients.
+product ``X.T @ D.T`` reads the transposed block without a copy, through
+``logit._matmul_tiles``, whose output tiles and row chunks keep its bits at
+any thread count.  A nonparametric bootstrap is available as a
+cross-check.  Its replicates are row weights, never resample copies, and
+each is evaluated by the same code under its weights: weighted row means,
+or the weighted row of sample means, and no gradients.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional
 
 import numpy as np
@@ -179,6 +178,7 @@ def load_coefficients(path_or_name: str) -> tuple[str, dict[str, float]]:
         with open(path_or_name, "rb") as fh:
             raw = fh.read()
     except OSError:
+        from importlib import resources  # only this fallback needs it
         ref = resources.files("logitmargins").joinpath("data", path_or_name)
         try:
             raw = ref.read_bytes()

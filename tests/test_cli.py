@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -101,6 +102,26 @@ def test_outputs_of_a_wide_model_do_not_depend_on_the_blas_thread_count(tmp_path
     outputs = outputs_at_1_and_2_threads(
         tmp_path, str(data), ["--model", model, "--schema", schema], requests)
     assert len(json.loads(outputs[0][0])["beta"]) == 22
+    assert outputs[0] == outputs[1]
+
+
+def test_outputs_of_a_long_design_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # n = 40000: OpenBLAS splits a long sum between threads, so every product
+    # summed over the data rows adds its partials over chunks of at most 8192
+    n, n_cont = 40000, 11
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(n, n_cont))
+    eta = 0.2 + x @ rng.normal(scale=0.3, size=n_cont)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+    names = [f"x{j}" for j in range(1, n_cont + 1)]
+    data = tmp_path / "long.csv"
+    np.savetxt(data, np.column_stack([y, x]), fmt="%.17g", delimiter=",",
+               header=",".join(["y", *names]), comments="")
+    schema = ",".join(["y:binary", *(f"{v}:continuous" for v in names)])
+    outputs = outputs_at_1_and_2_threads(
+        tmp_path, str(data), ["--model", "y ~ " + " + ".join(names), "--schema", schema],
+        {"ame": ["--ame", "x1"]})
+    assert len(json.loads(outputs[0][0])["beta"]) == 12
     assert outputs[0] == outputs[1]
 
 
@@ -340,6 +361,29 @@ def test_margins_bootstrap_runs(workspace):
     rows = (workspace / "boot.tsv").read_text().strip().splitlines()[1:]
     assert len(rows) == 3
     assert all(float(row.split("\t")[3]) > 0 for row in rows)
+
+
+def test_plot_csv_quotes_a_label_with_a_comma(tmp_path):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=200)
+    g = np.where(rng.random(200) < 0.5, "a,1", "b")
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("y", "g", "x"), *zip(y, g, x)])
+    model = tmp_path / "m.json"
+    r = run_cli("fit", "--data", str(tmp_path / "d.csv"), "--model", "y ~ C(g) + x",
+                "--out", str(model))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("margins", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+                "--over", "C(g)", "--at", "x=0:1:1", "--plot", str(tmp_path / "p.svg"),
+                "--table", str(tmp_path / "t.tsv"))
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "p.svg.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 5 for row in rows)
+    labels = [line.split("\t")[0] for line in (tmp_path / "t.tsv").read_text().splitlines()]
+    assert [row[0] for row in rows[1:]] == labels[1:]
+    assert any("a,1" in label for label in labels)
 
 
 def test_outputs_byte_identical_across_runs(workspace, tmp_path):
@@ -637,6 +681,18 @@ def test_import_leaves_scipy_stats_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_import_leaves_importlib_resources_unloaded():
+    # only synth's bundled-file fallback reads package data; -S keeps site
+    # from loading the module through a .pth file, so numpy and the package
+    # are put on the path by hand
+    paths = [os.path.dirname(os.path.dirname(m.__file__)) for m in (lm, np)]
+    code = (f"import sys; sys.path[:0] = {paths!r}; import logitmargins; "
+            "print('importlib.resources' in sys.modules)")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_fit_and_margins_never_import_scipy(workspace, tmp_path):

@@ -118,12 +118,18 @@ def test_redundant_column_raises_with_names(toy_ds):
     assert "x" in " ".join(map(str, exc.value.columns))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_design_is_rejected(bad):
+@pytest.mark.parametrize("where, bad", [
+    pytest.param("X", np.nan, id="nan"), pytest.param("X", np.inf, id="inf"),
+    pytest.param("X", -np.inf, id="-inf"), pytest.param("y", 2.0, id="y=2")])
+def test_non_finite_design_is_rejected(where, bad):
+    # the design rejects itself when it is built, before any fit reads it
     X, y, _ = random_problem(3)
-    X[5, 2] = bad
-    with pytest.raises(ValueError, match="design matrix has non-finite values"):
-        fit(plain_design(X, y))
+    if where == "X":
+        X[5, 2], message = bad, "design matrix has non-finite values"
+    else:
+        y[5], message = bad, "response must be 0/1"
+    with pytest.raises(lm.FormulaError, match=message):
+        plain_design(X, y)
 
 
 def test_needs_more_rows_than_columns():
@@ -472,6 +478,15 @@ def _mangle(d, field: str):
     cov = np.array(d["cov"])
     if field == "top_level_list":
         return [d]
+    if field.endswith("_missing"):
+        key = field[:-len("_missing")]
+        if key == "reference":
+            del d["term_map"]["reference"]
+        elif key == "source":
+            del d["term_map"]["columns"][1]["source"]
+        else:
+            del d[key]
+        return d
     if field == "short_beta":
         d["beta"] = d["beta"][:-1]
     elif field == "cov_shape":
@@ -539,6 +554,9 @@ def _mangle(d, field: str):
     ("ll_nan", "must be finite"), ("ll0_inf", "must be finite"),
     ("ll_huge", "malformed"), ("n_negative", "n > k"), ("n_zero", "n > k"),
     ("n_k", "n > k"), ("iterations_negative", "iterations >= 0"),
+    *((f"{key}_missing", f"^malformed model JSON: missing key '{key}'$")
+      for key in ("n", "iterations", "ll", "ll0", "beta", "cov", "term_map",
+                  "reference", "source")),
 ])
 def test_model_json_rejects_malformed_fit(toy_fit, field, message):
     fr, _ = toy_fit
