@@ -225,10 +225,10 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     ``max_iter`` iterations without convergence (:class:`ConvergenceError`);
     a negative Hessian without a Cholesky factor (:class:`FitError`);
     convergence (a :class:`FitResult`); a step to a non-finite coefficient
-    vector (``ValueError``).  A fit with a verdict leaves the active set.
-    Returns one :class:`FitResult`, or the exception that fit raised, per
-    row of ``C``.  An invalid ``tol`` or ``max_iter``, or a design with no
-    more rows than columns, raises at once, for the whole block; the
+    vector (:class:`FitError`).  A fit with a verdict leaves the active set.
+    Returns one :class:`FitResult` or :class:`FitError` per row of ``C``.
+    An invalid ``tol`` or ``max_iter``, or a design with no more rows than
+    columns, raises at once, for the whole block; the
     :class:`DesignMatrix` has already checked its response and values.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -295,7 +295,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
                                    iterations=iterations, term_map=term_map,
                                    ll_trace=tuple(trace[a]))
             elif not np.isfinite(beta[a] + step[a]).all():
-                out[b] = ValueError("non-finite coefficient vector")
+                out[b] = FitError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
             act, C, present, col_scale, beta, P, ll, trace, step = (
@@ -372,31 +372,15 @@ def predict(fr: FitResult, rows: np.ndarray) -> np.ndarray:
     return expit(rows @ fr.beta)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValueError("cannot serialize non-finite number")
-    # "-0" would load as the integer 0, which has no sign
-    return "-0.0" if v == 0.0 and math.copysign(1.0, v) < 0 else f"{v:.17g}"
-
-
 def to_json(fr: FitResult, formula_text: str) -> str:
-    """Serialize a fit to the model JSON format (17 significant digits)."""
-    tm = fr.term_map.to_dict()
-    parts = [
-        f'"formula": {json.dumps(formula_text)}',
-        f'"term_map": {json.dumps(tm, sort_keys=False)}',
-        '"beta": [' + ", ".join(_fmt(b) for b in fr.beta) + "]",
-        '"cov": [' + ", ".join(
-            "[" + ", ".join(_fmt(v) for v in row) + "]" for row in fr.cov) + "]",
-        f'"ll": {_fmt(fr.ll)}',
-        f'"ll0": {_fmt(fr.ll0)}',
-        f'"n": {_fmt(fr.n)}',
-        f'"iterations": {_fmt(fr.iterations)}',
-    ]
-    return "{" + ", ".join(parts) + "}\n"
+    """Serialize a fit to the model JSON format: one ``json.dumps``, each float
+    written in the shortest form that reads back to the same double.  A
+    non-finite number raises ``ValueError``."""
+    d = {"formula": formula_text, "term_map": fr.term_map.to_dict(),
+         "beta": [float(b) for b in fr.beta], "cov": [[float(v) for v in r] for r in fr.cov],
+         "ll": float(fr.ll), "ll0": float(fr.ll0),
+         "n": int(fr.n), "iterations": int(fr.iterations)}
+    return json.dumps(d, allow_nan=False) + "\n"
 
 
 def _check_model(beta: np.ndarray, cov: np.ndarray, term_map: TermMap):

@@ -35,6 +35,8 @@ or the weighted row of sample means, and no gradients.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -188,7 +190,7 @@ def _check_continuous(tm: TermMap, var: str):
         raise MarginsError(f"{var!r} is not a continuous variable in the model") from None
 
 
-def _compile(fr: FitResult, design: DesignMatrix, request: MarginRequest) -> _Plan:
+def _compile(design: DesignMatrix, request: MarginRequest) -> _Plan:
     """Compile a request into deduplicated scenarios and their contrast.
 
     Each output row is a (label, at, plus, minus) spec; ``plus`` and
@@ -196,7 +198,7 @@ def _compile(fr: FitResult, design: DesignMatrix, request: MarginRequest) -> _Pl
     ``minus`` is the ``plus`` scenario alone.  A grid value whose square
     overflows, for a variable with a squared term, is a :class:`MarginsError`.
     """
-    tm, arr = fr.term_map, design.X
+    tm, arr = design.term_map, design.X
     kind, target = request.kind, request.target
     atmeans = kind in ("apm", "mem")
     effect = kind in ("ame", "mem", "merv")
@@ -389,11 +391,14 @@ def compute_margins(fr: FitResult, design: DesignMatrix,
                     request: MarginRequest) -> list[MarginRow]:
     """The rows of a :class:`MarginRequest` with delta-method inference.
 
-    The predictions average over the rows of ``design``.  Rows
-    whose grid value lies outside the observed range of the grid variable
-    are flagged ``extrapolated``.
+    The predictions average over the rows of ``design``, whose term map
+    must be the fit's (else :class:`MarginsError`).  Rows whose grid value
+    lies outside the observed range of the grid variable are flagged
+    ``extrapolated``.
     """
-    plan = _compile(fr, design, request)
+    if fr.term_map != design.term_map:
+        raise MarginsError("the fit's term map does not match the design's")
+    plan = _compile(design, request)
     est, G = _evaluate(plan, fr.beta)
     with np.errstate(all="ignore"):
         var = np.einsum("kr,kr->r", fr.cov @ G, G)
@@ -431,17 +436,17 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     ``bincount(idx_b, minlength=n)``, refit in blocks of 16 replicates by the
     weighted Newton core, and its margins are evaluated under those weights
     (weighted row means, or the weighted row of sample means).
-    Replicates whose refit fails are recorded and skipped; more than 10%
-    failures is an error.  ``workers`` is accepted for compatibility and
+    The request is compiled against the design before any fit.  Replicates
+    whose refit raises :class:`FitError` are counted and skipped; more than
+    10% failures is an error.  ``workers`` is accepted for compatibility and
     ignored.
     """
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
     if seed < 0:
         raise MarginsError(f"bootstrap seed must be non-negative, got {seed}")
-    full_fit = fit(design)
-    plan = _compile(full_fit, design, request)
-    full_est, _ = _evaluate(plan, full_fit.beta)
+    plan = _compile(design, request)
+    full_est, _ = _evaluate(plan, fit(design).beta)
     n = design.n
     children = np.random.SeedSequence(seed).spawn(reps)
     kept = []
@@ -452,11 +457,8 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
             idx = np.random.default_rng(child).integers(0, n, size=n)
             C[b] = np.bincount(idx, minlength=n)
         for c, fr in zip(C, _newton(design, C)):
-            if isinstance(fr, FitError):
-                continue
-            if isinstance(fr, Exception):
-                raise fr
-            kept.append(_evaluate(plan, fr.beta, weights=c)[0])
+            if not isinstance(fr, FitError):
+                kept.append(_evaluate(plan, fr.beta, weights=c)[0])
 
     failures = reps - len(kept)
     if failures > 0.10 * reps:
@@ -467,18 +469,13 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
 
 
 def margins_tsv(rows: Sequence[MarginRow]) -> str:
-    """Render margin rows as TSV with 17-significant-digit numbers."""
-    def num(x) -> str:
-        if x is None:
-            return ""
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{float(x):.17g}"
-
-    lines = ["label\tat\testimate\tstd_err\tz\tp\tci_low\tci_high"]
+    """Render margin rows as TSV through one ``csv.writer``, numbers at 17
+    significant digits; a label with a tab, a quote or a line feed is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter="\t", lineterminator="\n")
+    writer.writerow(("label", "at", "estimate", "std_err", "z", "p", "ci_low", "ci_high"))
     for r in rows:
-        lines.append("\t".join([
-            r.label, num(r.at_value), num(r.estimate), num(r.se),
-            num(r.z), num(r.p), num(r.ci_low), num(r.ci_high),
-        ]))
-    return "\n".join(lines) + "\n"
+        at = "" if r.at_value is None else f"{r.at_value:.17g}"
+        numbers = (r.estimate, r.se, r.z, r.p, r.ci_low, r.ci_high)
+        writer.writerow((r.label, at, *(f"{v:.17g}" for v in numbers)))
+    return buf.getvalue()

@@ -18,8 +18,13 @@ CORPUS_SEED = 7        # n=15426 default corpus: ybar 0.2207, max |z-dev| 1.35
 BOOT_CORPUS_SEED = 61  # n=2000 corpus for bootstrap cross-checks
 BOOT_SEED = 1101
 
-# property tests draw the same examples on every run and stay within a few
-# seconds, so the suite remains reproducible
+# property tests are derandomized and stay within a few seconds.  Their draws
+# are the same for the same set of loaded modules, not for every selection of
+# test files: Hypothesis (6.155) mixes literal constants from every local
+# module in sys.modules into its choices (_get_local_constants in
+# hypothesis/internal/conjecture/providers.py), so running one file can draw
+# other examples than the full suite.  A case that must run is pinned with
+# @example.
 settings.register_profile("repro", derandomize=True, max_examples=100, deadline=None,
                           database=None, print_blob=True)
 settings.load_profile("repro")
@@ -45,7 +50,7 @@ def margin_rows(fr, design, kind: str, target: str, **fields) -> list:
 
 def kernel_gradient(fr, design, request) -> np.ndarray:
     """Delta-method gradient of a request's first row, from the margin kernel."""
-    _, grad = _evaluate(_compile(fr, design, request), fr.beta)
+    _, grad = _evaluate(_compile(design, request), fr.beta)
     return grad[:, 0]
 
 

@@ -386,6 +386,27 @@ def test_plot_csv_quotes_a_label_with_a_comma(tmp_path):
     assert any("a,1" in label for label in labels)
 
 
+def test_table_quotes_a_label_with_a_tab_or_a_quote(tmp_path):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=300)
+    g = np.array(["a", "b\tc", 'd"e'])[np.arange(300) % 3]
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("y", "g", "x"), *zip(y, g, x)])
+    model = tmp_path / "m.json"
+    r = run_cli("fit", "--data", str(tmp_path / "d.csv"), "--model", "y ~ C(g) + x",
+                "--out", str(model))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("margins", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+                "--aap", "C(g)", "--table", str(tmp_path / "t.tsv"))
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "t.tsv", newline="") as fh:
+        rows = list(csv.reader(fh, delimiter="\t"))
+    assert all(len(row) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == [
+        "AAP g=a", "AAP g=b\tc", 'AAP g=d"e', "AME g=b\tc-a", 'AME g=d"e-a']
+
+
 def test_outputs_byte_identical_across_runs(workspace, tmp_path):
     outs = []
     for d in ("r1", "r2"):
@@ -512,6 +533,35 @@ def test_mistyped_model_json_exits_1(workspace, tmp_path, case):
     lines = r.stderr.splitlines()
     assert r.returncode == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+
+
+# the formula of a model file must parse and build the file's term map on the
+# data; the bootstrap, which takes no fit from the file, relies on these checks
+@pytest.mark.parametrize("vce", ["delta", "bootstrap"])
+def test_model_formula_that_does_not_parse_exits_2_with_caret(workspace, tmp_path, vce):
+    d = json.loads((workspace / "m.json").read_text())
+    d["formula"] = d["formula"].replace("C(doctype) + jif", "C(doctype) + + jif")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    r = run_cli("margins", "--model", str(bad), "--data", str(workspace / "s.csv"),
+                "--aap", "C(univ)", "--vce", vce)
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert lines[0] == "error: expected 'ident' at position 44", r.stderr
+    assert lines[1] == f"  {d['formula']}" and lines[2] == "  " + " " * 44 + "^"
+
+
+@pytest.mark.parametrize("vce", ["delta", "bootstrap"])
+def test_model_formula_that_does_not_build_its_term_map_exits_1(workspace, tmp_path, vce):
+    d = json.loads((workspace / "m.json").read_text())
+    d["formula"] = d["formula"].replace(" + pages^2", "")
+    bad = tmp_path / "mismatch.json"
+    bad.write_text(json.dumps(d))
+    r = run_cli("margins", "--model", str(bad), "--data", str(workspace / "s.csv"),
+                "--aap", "C(univ)", "--vce", vce)
+    assert r.returncode == 1
+    assert r.stderr.splitlines() == [
+        f"error: the term map in {bad} does not match its formula"], r.stderr
 
 
 # each malformed fit flag: one error line, exit 1, never a traceback

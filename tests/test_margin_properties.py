@@ -194,7 +194,7 @@ def test_effects_are_exact_prediction_differences(case):
 @given(cases())
 def test_kernel_gradients_match_finite_differences(case):
     fr, design, _, request = case
-    plan = _compile(fr, design, request)
+    plan = _compile(design, request)
     _, grad = _evaluate(plan, fr.beta)
     for r in range(grad.shape[1]):
         fd = fd_gradient(lambda b: _evaluate(plan, b)[0][r], fr.beta)
@@ -213,7 +213,7 @@ LONG_GRID_SHAPES = (("aprv", "g"), ("merv", "g"), ("aap", "x"), ("ame", "x"))
 def test_estimates_do_not_depend_on_the_scenario_block(fit_case, shape, grid, data):
     fr, design, _ = fit_case
     request = MarginRequest(*shape, at=("x", tuple(sorted(grid))))
-    plan = _compile(fr, design, request)
+    plan = _compile(design, request)
     counts = np.array(data.draw(st.lists(st.integers(0, 3), min_size=design.n,
                                          max_size=design.n), label="weights"), dtype=float)
     results = []

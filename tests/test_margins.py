@@ -14,7 +14,7 @@ from logitmargins.logit import _newton
 from logitmargins.margins import (MarginsError, _compile, _evaluate, _mean_row,
                                   bootstrap_se, compute_margins, margins_tsv, zstar)
 from oracles import ToyModel, fd_gradient
-from conftest import kernel_gradient, margin_rows
+from conftest import BOOT_CORPUS_SEED, kernel_gradient, margin_rows
 
 TOL = 1e-12
 
@@ -403,6 +403,21 @@ def test_margins_tsv_round_trips_exactly(toy_fit):
     assert cells[1] == ""  # no grid value for a factor AAP
 
 
+def test_a_fit_is_refused_with_a_design_of_another_term_map(corpus2k):
+    # the design of another reference level gave AAPs of 0.0527 and 0.1689
+    # for 0.0812 and 0.2410, and the narrower design a numpy shape error
+    fr, design = corpus2k
+    cfg = lm.default_config(2000, BOOT_CORPUS_SEED)
+    ds, spec = lm.generate(cfg), lm.parse_formula(cfg.formula)
+    request = lm.MarginRequest("aap", "jif", at=("jif", (0.0, 5.0)))
+    for other in (lm.build_design(ds, spec, reference={"univ": "univ3"}),
+                  lm.build_design(ds, lm.parse_formula("top10 ~ C(univ) + jif"))):
+        with pytest.raises(MarginsError, match="term map"):
+            compute_margins(fr, other, request)
+    rows = compute_margins(fr, design, request)
+    assert [round(r.estimate, 4) for r in rows] == [0.0812, 0.2410]
+
+
 # --- bootstrap ---------------------------------------------------------------
 
 def test_bootstrap_deterministic_and_close_to_delta(corpus2k):
@@ -496,7 +511,7 @@ def test_bootstrap_skips_failed_replicates_under_the_ceiling():
             rf = lm.fit(resample)
         except lm.FitError:
             continue
-        est.append(_evaluate(_compile(rf, resample, req), rf.beta)[0])
+        est.append(_evaluate(_compile(resample, req), rf.beta)[0])
     assert 0 < got.failures <= 10 and got.failures == 100 - len(est)
     # the weighted refits agree with these resample refits up to rounding
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
@@ -527,7 +542,7 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req
         counts.append(np.bincount(idx, minlength=design.n))
         resample = lm.DesignMatrix(design.X[idx], design.y[idx], design.term_map)
         rf = lm.fit(resample)
-        est.append(_evaluate(_compile(rf, resample, req), rf.beta)[0])
+        est.append(_evaluate(_compile(resample, req), rf.beta)[0])
     # the refits see the replicates' row counts in spawn order, 16 at a time
     assert [len(b) for b in blocks] == [16] * 6 + [4]
     assert np.array_equal(np.vstack(blocks), np.vstack(counts))
@@ -539,7 +554,7 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req
 def test_negative_variance_is_an_error_beyond_rounding(toy_fit):
     fr, design = toy_fit
     req = lm.MarginRequest("aap", "g", levels=("b",))
-    _, G = _evaluate(_compile(fr, design, req), fr.beta)
+    _, G = _evaluate(_compile(design, req), fr.beta)
     g = G[:, 0]
     # cov - t g g' has variance (1 - t) g' cov g along g
     unit = np.outer(g, g) * (g @ fr.cov @ g) / (g @ g) ** 2
