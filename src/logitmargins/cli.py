@@ -176,16 +176,16 @@ def _parse_at(text: str) -> tuple[str, tuple[float, ...]]:
     return var, grid
 
 
-def _build_requests(args) -> list[mg.MarginRequest]:
-    """Translate margins flags into requests, which reject the fields they
-    would ignore; see README for the valid combinations."""
+def _build_requests(args, factors) -> list[mg.MarginRequest]:
+    """Translate margins flags into requests on a model whose factors are
+    ``factors``; a ``C(VAR)`` target must name one of them, and the requests
+    reject the fields they would ignore; see README for the valid
+    combinations."""
     if sum(1 for f in (args.aap, args.ame, args.over) if f) > 1:
         raise mg.MarginsError("--aap, --ame and --over are mutually exclusive")
     if args.dydx and (args.aap or args.ame):
         raise mg.MarginsError("--dydx applies only to --over and a bare --at")
     at = _parse_at(args.at) if args.at else None
-    if args.plot and at is None:
-        raise mg.MarginsError("--plot requires margins over an --at grid")
 
     def request(pred: bool, var: str, base: Optional[str] = None) -> mg.MarginRequest:
         kind = ("apm" if pred else "mem") if args.atmeans else ("aap" if pred else "ame")
@@ -198,6 +198,8 @@ def _build_requests(args) -> list[mg.MarginRequest]:
             raise mg.MarginsError("nothing requested: use --aap, --ame, --at, or --over")
         return [request(not args.dydx, at[0])]
     var, is_factor, base = _parse_target(target)
+    if is_factor and var not in factors:
+        raise mg.MarginsError(f"{target!r}: {var!r} is not a factor of the model")
     if args.over:
         if not is_factor:
             raise mg.MarginsError("--over takes a factor, e.g. --over C(univ)")
@@ -252,12 +254,14 @@ def _plot_rows(rows, path, requests) -> None:
 
 
 def cmd_margins(args) -> int:
-    requests = _build_requests(args)
+    if args.plot and not args.at:  # the one flag rule checked before any file is read
+        raise mg.MarginsError("--plot requires margins over an --at grid")
     try:
         with open(args.model, "r", encoding="utf-8") as fh:
             fr, formula_text = logit_mod.from_json(fh.read())
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read model JSON {args.model}: {exc}") from None
+    requests = _build_requests(args, fr.term_map.factor_levels)
     try:
         spec = parse_formula(formula_text)
     except FormulaError as exc:
@@ -337,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference level override (repeatable)")
     p.add_argument("--out", help="path for the model JSON")
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="stop when the next Newton step is below TOL standard errors "
+                        "in every coefficient (default 1e-10)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("margins", help="adjusted predictions and marginal effects")

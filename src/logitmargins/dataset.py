@@ -57,6 +57,12 @@ class Column:
         if self.kind == "categorical":
             if self.levels is None or len(set(self.levels)) != len(self.levels):
                 raise DataError(f"missing or duplicate levels in column {self.name!r}")
+            # csv.writer quotes a line feed but not a bare carriage return, so
+            # every table or CSV holding such a level would split its row
+            for level in self.levels:
+                if "\r" in str(level):
+                    raise DataError(f"level {level!r} of column {self.name!r} holds a "
+                                    "carriage return")
             if not np.issubdtype(self.values.dtype, np.integer):
                 raise DataError(f"categorical codes in column {self.name!r} must be integers")
             if self.values.size and (self.values.min() < 0

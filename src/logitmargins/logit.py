@@ -12,11 +12,9 @@ import numpy as np
 from .dataset import readonly_copy
 from .formula import DesignMatrix, TermMap
 
-SCORE_TOL = 1e-6
 _TILE = 16  # the widest output tile of a product summed over the data rows
 _CHUNK = 8192  # the most data rows one call of such a product sums over
 _SEPARATION_BETA = 30.0
-_SEPARATION_PROB = 1e-10
 
 
 class FitError(RuntimeError):
@@ -119,12 +117,6 @@ class FitStats:
     p: np.ndarray
 
 
-def _null_ll(ybar: float, n: int) -> float:
-    if ybar in (0.0, 1.0):
-        return 0.0
-    return n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
-
-
 def _check_rank(X: np.ndarray, term_map: TermMap):
     rank = np.linalg.matrix_rank(X)
     if rank < X.shape[1]:
@@ -169,22 +161,49 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
 
 
 def _score_hessians(X, y, C, P):
-    """Scores (c(y-p))'X as (A, k), negative Hessians X'diag(c p(1-p))X as
-    (A, k, k), and residuals y - p as (A, n), of the A fits whose
-    probabilities and weights are the rows of ``P`` and ``C``.
-
-    Each Hessian is one tiled product ``(X * w).T @ X``, with ``w`` its fit's
-    row of c p(1-p).
-    """
-    resid = y - P
-    score = _matmul_tiles(resid * C, X)
-    W = 1.0 - P
-    W *= P
-    W *= C
+    """Scores (c(y-p))'X as (A, k) and negative Hessians X'diag(c p(1-p))X as
+    (A, k, k), each one tiled product ``(X * w).T @ X``, of the A fits whose
+    probabilities and weights are the rows of ``P`` and ``C``."""
+    score = _matmul_tiles((y - P) * C, X)
+    W = (1.0 - P) * P * C
     neg_h = np.empty((len(P), X.shape[1], X.shape[1]))
     for a, w in enumerate(W):
         _matmul_tiles((X * w[:, None]).T, X, out=neg_h[a])
-    return score, neg_h, resid
+    return score, neg_h
+
+
+def _separations(X, y, C, term_map: TermMap) -> list:
+    """Per row c of the weights ``C``, a :class:`SeparationError` if, for 0/1
+    columns x_i and x_j of the rows of weight c > 0 (x_0 the intercept), one
+    cell of (x_i, x_j) has one outcome only and the opposite cell, if it has
+    rows, only the other, else None: x_i + x_j - 1 (cells 11 and 00) or
+    x_i - x_j (cells 10 and 01) then raises the likelihood without bound
+    (Albert & Anderson 1984).  Every separating direction in the span of 1,
+    x_i and x_j is a sum of these two."""
+    binary = _matmul_tiles(C, ((X != 0.0) & (X != 1.0)).astype(np.float64)) == 0  # 0/1 per fit
+    B = np.flatnonzero(binary.any(axis=0))
+    Z, binary = X[:, B], binary[:, B, None] & binary[:, None, B]  # (fits, m, m) pairs
+    cells = []  # per fit and pair, the rows of cells 11, 00, 10, 01, then those with y = 1
+    for W in (C, C * y):  # counts, exact for integer weights
+        g = np.array([_matmul_tiles((Z * w[:, None]).T, Z) for w in W])  # x_i = x_j = 1
+        d = np.diagonal(g, axis1=1, axis2=2)  # the rows with x_i = 1
+        cells.append(np.array([g, g[:, :1, :1] - d[:, :, None] - d[:, None] + g,
+                               d[:, :, None] - g, d[:, None] - g]))
+    n, o = cells
+    ones, zeros = o == n, o == 0.0  # an empty cell is both
+    # hit[q]: x_i + x_j - 1 with y = 1 (q = 0) or 0 (q = 1) on its +1 cell, x_i - x_j (2, 3)
+    hit = np.triu([ones[0] & zeros[1], zeros[0] & ones[1], ones[2] & zeros[3], zeros[2] & ones[3]])
+    hit = np.moveaxis(hit & np.repeat(n[[0, 2]] + n[[1, 3]] > 0, 2, axis=0) & binary, 0, -1)
+    out = [None] * len(C)
+    for f in np.flatnonzero(hit.any(axis=(1, 2, 3))):
+        i, j, q = np.unravel_index(np.argmax(hit[f]), hit.shape[1:])
+        plus, minus = ((1, 1), (0, 0)) if q < 2 else ((1, 0), (0, 1))  # the ray's cells
+        where = [" and ".join(f"{term_map.labels[B[t]]} is {v}" for t, v in zip((i, j), cell) if t)
+                 for cell in (plus, minus)]
+        also = f", and every one where {where[1]} has y = {q % 2}" if i else ""
+        out[f] = SeparationError(f"separation: every observation{' where ' if j else ''}"
+                                 f"{where[0]} has y = {1 - q % 2}{also}")
+    return out
 
 
 def _cholesky(A: np.ndarray):
@@ -212,24 +231,18 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
             tol: float = 1e-10) -> list:
     """Newton-Raphson fits of one logit model under B frequency-weight rows.
 
-    Row b of ``C`` (B x n) counts how often each data row enters fit b, as a
-    row resample drawn with replacement does; ``None`` is one fit of the
-    rows as given.  Fit b runs, in the same order, every check and step that
-    a fit of its materialised resample runs (see :func:`fit`), from
-    ``sqrt(c)*X`` for the rank check and weighted sums elsewhere, so it
-    gives that fit's iterations and exceptions and its estimates up to
-    rounding.  The fits iterate together, each a row of every per-fit array.
-    After each evaluation of their scores and Hessians, one verdict per fit,
-    read from that evaluation alone, takes the first of these that holds:
-    quasi-complete, then complete separation (:class:`SeparationError`);
-    ``max_iter`` iterations without convergence (:class:`ConvergenceError`);
-    a negative Hessian without a Cholesky factor (:class:`FitError`);
-    convergence (a :class:`FitResult`); a step to a non-finite coefficient
-    vector (:class:`FitError`).  A fit with a verdict leaves the active set.
-    Returns one :class:`FitResult` or :class:`FitError` per row of ``C``.
-    An invalid ``tol`` or ``max_iter``, or a design with no more rows than
-    columns, raises at once, for the whole block; the
-    :class:`DesignMatrix` has already checked its response and values.
+    Row b of ``C`` (B x n) counts how often each data row enters fit b;
+    ``None`` is one fit of the rows as given.  Fit b runs every check and
+    step of a fit of its materialised resample (``sqrt(c)*X`` for the rank
+    check, weighted sums elsewhere), so it gives that fit's iterations,
+    exceptions and, up to rounding, estimates.  A fit ends before iterating
+    on a rank deficiency, else on :func:`_separations`.  After each
+    evaluation, one verdict per fit takes the first that holds: a
+    standardized coefficient beyond 30 (:class:`SeparationError`);
+    ``max_iter`` iterations (:class:`ConvergenceError`); a negative Hessian
+    without a Cholesky factor (:class:`FitError`); a Newton decrement below
+    ``tol**2`` (a :class:`FitResult`); a non-finite step (:class:`FitError`).
+    A bad ``tol`` or ``max_iter``, or n <= k, raises for the whole block.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise FitError(f"tol must be finite and positive, got {tol}")
@@ -240,7 +253,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     if n <= k:
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
-    out: list = [None] * len(C)
+    out = _separations(X, y, C, term_map)
     for b, c in enumerate(C):
         try:
             _check_rank(X * np.sqrt(c)[:, None], term_map)
@@ -249,12 +262,9 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
     if not act.size:
         return out
-    ones = C @ y  # weighted count of y = 1, exact for integer weights
     C = C[act]
-    # per-fit constants: the rows a fit holds (1, else 0) and the weighted
-    # sds of the non-intercept columns, from moments about the full-sample
-    # mean (every weighted mean is close to it, so no precision is lost)
-    present = (C > 0).astype(np.float64)
+    ll0 = np.array([n * (p * math.log(p) + (1.0 - p) * math.log(1.0 - p)) for p in C @ y / n])
+    # weighted column sds from moments about the full-sample mean, near every weighted one
     D = X - X.mean(axis=0)
     shift = _matmul_tiles(C, D) / n
     col_var = _matmul_tiles(C, np.square(D, out=D)) / n - shift * shift
@@ -263,26 +273,20 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
 
     beta = np.zeros((act.size, k))
     P = np.full((act.size, n), 0.5)  # expit(0)
-    ll = prev_ll = _log_likelihoods(np.zeros_like(P), y, C)
+    ll = _log_likelihoods(np.zeros_like(P), y, C)
     trace = ll[:, None]  # (A, iterations + 1)
     iterations = 0
     while True:
-        score, neg_h, resid = _score_hessians(X, y, C, P)
+        score, neg_h = _score_hessians(X, y, C, P)
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
-        np.abs(resid, out=resid)
-        resid *= present
-        pinned = resid.max(axis=1) <= _SEPARATION_PROB
-        converged = ((np.abs(ll - prev_ll) / (np.abs(prev_ll) + 1e-300) < tol)
-                     & (np.abs(score).max(axis=1) < SCORE_TOL) & (iterations > 0))
         L, errors = _cholesky(neg_h)
         step = _cho_solve(L, score[:, :, None])[:, :, 0]
+        # lambda^2 (NaN, with no warning, for a non-finite step) bounds |step_j| by lambda*se_j
+        converged = np.einsum("ij,ij->i", score, step) < tol * tol
         for a, b in enumerate(act):
             if quasi[a]:
                 out[b] = SeparationError(
                     "quasi-complete separation: a standardized coefficient exceeds 30")
-            elif pinned[a]:
-                out[b] = SeparationError(
-                    "complete separation: fitted probabilities are pinned at 0/1")
             elif iterations >= max_iter and not converged[a]:
                 out[b] = ConvergenceError(f"no convergence after {max_iter} iterations")
             elif errors[a] is not None:
@@ -291,15 +295,14 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
             elif converged[a]:
                 cov = _cho_solve(L[a], np.eye(k))
                 out[b] = FitResult(beta=beta[a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
-                                   ll0=_null_ll(float(ones[b]) / n, n), n=n,
-                                   iterations=iterations, term_map=term_map,
-                                   ll_trace=tuple(trace[a]))
+                                   ll0=float(ll0[a]), n=n, iterations=iterations,
+                                   term_map=term_map, ll_trace=tuple(trace[a]))
             elif not np.isfinite(beta[a] + step[a]).all():
                 out[b] = FitError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
-            act, C, present, col_scale, beta, P, ll, trace, step = (
-                v[keep] for v in (act, C, present, col_scale, beta, P, ll, trace, step))
+            act, C, col_scale, beta, P, ll, ll0, trace, step = (
+                v[keep] for v in (act, C, col_scale, beta, P, ll, ll0, trace, step))
         if not act.size:
             break
 
@@ -316,7 +319,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
                 break
             scale[halve] *= 0.5
         # the accepted eta serves the likelihood and the next evaluation
-        beta, prev_ll, ll, P = cand, ll, cand_ll, expit(eta, out=eta)
+        beta, ll, P = cand, cand_ll, expit(eta, out=eta)
         trace = np.column_stack((trace, ll))
         iterations += 1
     return out
@@ -326,18 +329,15 @@ def fit(design: DesignMatrix, *, max_iter: int = 100, tol: float = 1e-10) -> Fit
     """Fit the logit model of a design by Newton-Raphson from beta = 0.
 
     Each iteration evaluates the score and Hessian once and factors the
-    negative Hessian once.  A step that would lower the log-likelihood is
-    halved until it does not, so the trace is nondecreasing.  Convergence
-    requires both a relative log-likelihood change below ``tol`` and a
-    maximal score component below 1e-6.  The covariance is the inverse
-    negative Hessian at the optimum, solved from the converged iterate's
-    Cholesky factor; a non-positive-definite Hessian is an error, never a
-    pseudo-inverse.
-
-    Raises :class:`RankDeficiencyError`, :class:`SeparationError`, or
-    :class:`ConvergenceError` instead of returning unusable estimates.  The
-    fit is the one-column case of the weighted Newton core the bootstrap
-    uses.
+    negative Hessian once; a step that would lower the log-likelihood is
+    halved until it does not.  The fit has converged when the Newton
+    decrement score'(-H)^-1 score is below ``tol**2``, so the next step is
+    under ``tol`` standard errors in every coefficient, whatever the units.
+    The covariance is the inverse negative Hessian there, from its Cholesky
+    factor, never a pseudo-inverse.  Raises :class:`RankDeficiencyError`,
+    :class:`SeparationError`, :class:`ConvergenceError` or :class:`FitError`
+    in :func:`_newton`'s order of precedence instead of returning unusable
+    estimates.
     """
     result, = _newton(design, max_iter=max_iter, tol=tol)
     if isinstance(result, Exception):

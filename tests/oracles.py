@@ -198,6 +198,28 @@ def irls_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 200,
     return beta
 
 
+def svd_rank(X: np.ndarray) -> int:
+    """Numerical rank of X from its singular values: those above
+    ``s_max * max(n, k) * eps`` count."""
+    s = np.linalg.svd(X, compute_uv=False)
+    return int((s > s[0] * max(X.shape) * np.finfo(np.float64).eps).sum())
+
+
+def lp_separated(X: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the logit MLE of (X, y) fails to exist, by Konis's linear
+    program (Konis 2007, the ``safeBinaryRegression`` R package): maximise
+    sum((2y-1) x beta) subject to (2y-1) x_i beta >= 0 on every row and
+    |beta_j| <= 1.  For a full-rank X the optimum is positive exactly when
+    some direction separates the outcomes, completely or quasi-completely.
+    """
+    from scipy.optimize import linprog
+    A = (2.0 * y - 1.0)[:, None] * X
+    res = linprog(-A.sum(axis=0), A_ub=-A, b_ub=np.zeros(len(A)),
+                  bounds=[(-1.0, 1.0)] * X.shape[1], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun > 1e-6
+
+
 def fd_gradient(f, beta: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Fourth-order central finite-difference gradient of scalar f at beta.
 

@@ -407,6 +407,46 @@ def test_table_quotes_a_label_with_a_tab_or_a_quote(tmp_path):
         "AAP g=a", "AAP g=b\tc", 'AAP g=d"e', "AME g=b\tc-a", 'AME g=d"e-a']
 
 
+@pytest.mark.parametrize("flag", ["--ame", "--aap", "--over"])
+def test_a_factor_target_on_a_continuous_variable_exits_1(workspace, capsys, flag):
+    # C(jif) was ignored by --ame, which printed jif's continuous AME
+    grid = ["--at", "jif=0:1:1"] if flag == "--over" else []
+    code = cli.main(["margins", "--model", str(workspace / "m.json"),
+                     "--data", str(workspace / "s.csv"), flag, "C(jif)", *grid])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: 'C(jif)': 'jif' is not a factor of the model"]
+
+
+def test_a_level_holding_a_carriage_return_is_refused_before_any_output(tmp_path, capsys):
+    # csv.writer quotes a line feed but not a bare carriage return, so a
+    # margins TSV or plot CSV row labelled with such a level would split in
+    # two: the column holding it is refused, whether fit or margins loads it
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=300)
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+    for name, levels in (("clean", ["a", "b", "c"]), ("cr", ["a", "b\rc", "c"])):
+        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([("y", "g", "x"),
+                                      *zip(y, np.array(levels)[np.arange(300) % 3], x)])
+    message = ["error: level 'b\\rc' of column 'g' holds a carriage return"]
+    assert cli.main(["fit", "--data", str(tmp_path / "cr.csv"), "--model", "y ~ C(g) + x",
+                     "--out", str(tmp_path / "no.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == message
+    assert cli.main(["fit", "--data", str(tmp_path / "clean.csv"), "--model", "y ~ C(g) + x",
+                     "--out", str(tmp_path / "m.json")]) == 0
+    model = json.loads((tmp_path / "m.json").read_text())  # a model that knows the level
+    model["term_map"] = json.loads(json.dumps(model["term_map"]).replace('"b"', '"b\\rc"'))
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    capsys.readouterr()
+    outputs = [tmp_path / name for name in ("t.tsv", "p.svg", "p.svg.csv")]
+    assert cli.main(["margins", "--model", str(tmp_path / "m.json"),
+                     "--data", str(tmp_path / "cr.csv"), "--over", "C(g)", "--at", "x=0:1:1",
+                     "--table", str(outputs[0]), "--plot", str(outputs[1])]) == 1
+    assert capsys.readouterr().err.splitlines() == message
+    assert not any(path.exists() for path in outputs)
+
+
 def test_outputs_byte_identical_across_runs(workspace, tmp_path):
     outs = []
     for d in ("r1", "r2"):
@@ -708,8 +748,8 @@ def test_plot_without_a_grid_exits_1_before_any_output(workspace, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-# the logistic MLE does not exist when y takes one value: the intercept runs
-# off until every fitted probability is pinned at that value
+# the logistic MLE does not exist when y takes one value: the intercept would
+# run off without bound, so the exact count refuses the fit before iterating
 @pytest.mark.parametrize("outcome", ["1", "0"])
 def test_single_outcome_response_exits_1(tmp_path, outcome):
     rows = [f"{outcome},{x}" for x in (0.1, 0.5, 0.9, 1.3, 2.0, 2.2, 3.1, 4.0)]
@@ -717,8 +757,7 @@ def test_single_outcome_response_exits_1(tmp_path, outcome):
     r = run_cli("fit", "--data", str(tmp_path / "one.csv"), "--model", "y ~ x",
                 "--out", str(tmp_path / "m.json"))
     assert r.returncode == 1 and r.stdout == ""
-    assert r.stderr.splitlines() == [
-        "error: complete separation: fitted probabilities are pinned at 0/1"]
+    assert r.stderr.splitlines() == [f"error: separation: every observation has y = {outcome}"]
     assert not (tmp_path / "m.json").exists()
 
 
@@ -748,7 +787,10 @@ def test_import_leaves_importlib_resources_unloaded():
 def test_fit_and_margins_never_import_scipy(workspace, tmp_path):
     # scipy.linalg and scipy.special cost most of a CLI call's import time;
     # only the synth generator and the naming of dependent columns use scipy.
-    # numpy.ma (about 13 ms of import) has no user either
+    # scipy.optimize serves only the tests' separation oracle: a separated
+    # fit stays without it too.  numpy.ma (about 13 ms of import) has no user
+    # either
+    (tmp_path / "sep.csv").write_text("y,g\n" + "1,a\n0,a\n1,b\n1,b\n1,b\n")
     script = f"""
 import sys
 import logitmargins
@@ -762,12 +804,14 @@ assert cli.main(["fit", "--data", {str(workspace / "s.csv")!r}, "--model", {MODE
                  "--out", {str(tmp_path / "m.json")!r}]) == 0
 assert cli.main(["margins", "--model", {str(tmp_path / "m.json")!r},
                  "--data", {str(workspace / "s.csv")!r}, "--aap", "C(univ)"]) == 0
+assert cli.main(["fit", "--data", {str(tmp_path / "sep.csv")!r}, "--model", "y ~ C(g)"]) == 1
 loaded = [m for m in sys.modules if heavy(m)]
 assert not loaded, ("after fit and margins", loaded)
 """
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert "AAP univ=univ1" in r.stdout, r.stdout
+    assert "error: separation: every observation where g=b is 1 has y = 1" in r.stderr
 
 
 # main() is the one place that turns these into one `error:` line and exit 1

@@ -166,6 +166,7 @@ def test_csv_round_trip_any_dataset(ds):
     ("categorical", [0.0, 1.0], ("a", "b"), "must be integers"),
     ("binary", [0.0, 0.5], None, "other than 0/1"),
     ("binary", [float("nan")], None, "other than 0/1"),
+    ("categorical", [0, 1], ("a", "b\rc"), "level 'b\\\\rc' of column 'c' holds a carriage"),
 ])
 def test_invalid_column_raises(kind, values, levels, message):
     with pytest.raises(DataError, match=message):

@@ -15,7 +15,7 @@ from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
                                 SeparationError, _cholesky, _newton, _score_hessians, fit,
                                 fit_stats, from_json, log_likelihood, predict,
                                 score_and_hessian, to_json)
-from oracles import fd_gradient, irls_fit
+from oracles import fd_gradient, irls_fit, lp_separated, svd_rank
 from conftest import plain_design, plain_term_map
 
 DATA = Path(__file__).parent / "data"
@@ -99,11 +99,44 @@ def test_fit_matches_independent_irls_on_frozen_data():
 
 
 def test_separation_raises():
+    # separation on a continuous column: only the standardized-coefficient
+    # check (|beta_j| * sd_j > 30) catches it; without it the fit stopped at
+    # beta = 469 after 52 iterations
     x = np.linspace(-2, 2, 30)
     X = np.column_stack([np.ones(30), x])
     y = (x > 0).astype(float)
     with pytest.raises(SeparationError):
         fit(plain_design(X, y))
+
+
+# two crossing 0/1 columns and a continuous one: every (x1, x2) cell but the
+# two named by a case holds both outcomes
+CROSSED = np.column_stack([np.ones(16), [1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0],
+                           [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0],
+                           [-0.8, -1.32, -0.25, 0.42, 1.14, 0.11, -0.55, -0.78, 0.75, 1.63,
+                            0.27, -1.23, -0.96, 1.6, 0.2, -1.73]])
+
+
+@pytest.mark.parametrize("y, message", [
+    ([1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 0],
+     "every observation where x1 is 1 and x2 is 0 has y = 1, and every one where x1 is 0 "
+     "and x2 is 1 has y = 0"),
+    ([1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0],
+     "every observation where x1 is 1 and x2 is 1 has y = 1, and every one where x1 is 0 "
+     "and x2 is 0 has y = 0"),
+    ([1, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0],
+     "every observation where x2 is 1 has y = 0"),
+    ([1] * 16, "every observation has y = 1"),
+], ids=["x1-x2", "x1+x2-1", "x2", "single-outcome"])
+def test_separation_along_two_0_1_columns_is_found_before_iterating(y, message, monkeypatch):
+    # x1 - x2 and x1 + x2 - 1 separate the first two although neither column
+    # does alone; without the pair count they converged after 23 and 24
+    # iterations, to coefficients near +-25 with standard errors near 1e5
+    y = np.array(y, dtype=float)
+    assert lp_separated(CROSSED, y)
+    monkeypatch.setattr(logit_mod, "_score_hessians", None)  # no iteration runs
+    with pytest.raises(SeparationError, match=f"^separation: {message}$"):
+        fit(plain_design(CROSSED, y))
 
 
 def test_redundant_column_raises_with_names(toy_ds):
@@ -192,6 +225,20 @@ def test_estimates_invariant_under_rescaling(toy_fit):
     # x/10 scales its coefficient by 10 (and the square's by 100)
     rescaled = fr2.beta * np.array([1.0, 1.0, 1.0, 0.1, 0.01])
     assert np.max(np.abs(rescaled - fr.beta)) < 1e-8
+
+
+@pytest.mark.parametrize("power", [-12, -6, 8, 10, 12])
+def test_paper_fit_does_not_depend_on_the_units_of_jif(corpus15k_fit, power):
+    # the stopping rule bounds each step in standard errors, which rescale
+    # with their column: jif measured x 2^p (jif^2 x 4^p) takes the same 6
+    # iterations, and its coefficients scale back exactly up to rounding
+    fr, design = corpus15k_fit
+    tm = design.term_map
+    s = np.ones(design.k)
+    s[tm.linear_col("jif")], s[tm.square_col("jif")] = 2.0 ** power, 4.0 ** power
+    scaled = fit(lm.DesignMatrix(design.X * s, design.y, tm))
+    assert scaled.iterations == fr.iterations == 6
+    np.testing.assert_allclose(scaled.beta * s, fr.beta, rtol=1e-10, atol=0)
 
 
 def test_cov_symmetric_positive_definite(toy_fit):
@@ -302,12 +349,16 @@ def resample_blocks(draw):
 
 
 def test_convergence_needs_a_small_score():
-    # with tol=1 the likelihood test passes after one step; the score test
-    # alone keeps the fit going
+    # the stopping rule: a Newton decrement score . step below tol^2 bounds
+    # every |step_j| by tol * se_j, so the reference step at the returned
+    # beta is below tol standard errors in each coefficient
     X, y, _ = random_problem(9, n=300, k=5)
-    fr = fit(plain_design(X, y), tol=1.0)
-    assert fr.iterations > 1
-    assert np.abs(score_and_hessian(fr.beta, X, y)[0]).max() < 1e-6
+    for tol in (1e-10, 1e-3):
+        fr = fit(plain_design(X, y), tol=tol)
+        score, hessian = score_and_hessian(fr.beta, X, y)
+        step = np.linalg.solve(-hessian, score)
+        se = np.sqrt(np.diag(np.linalg.inv(-hessian)))
+        assert (np.abs(step) < tol * se).all(), (tol, step / se)
 
 
 def _failure(exc) -> tuple:
@@ -334,8 +385,9 @@ FROZEN_BLOCK = (
     25)
 
 # a quasi-separated resample (none of the rare level's rows with y = 0 is
-# drawn) that converges at iteration 24 with cond(cov) = 1.5e11: fit() on
-# its rows reversed moves cov[0, 1] from -43560 to 12493, where max|cov| is
+# drawn), which the exact count refuses before iterating; without the count
+# it converged at iteration 24 with cond(cov) = 1.5e11, and fit() on its
+# rows reversed moved cov[0, 1] from -43560 to 12493, where max|cov| was
 # 4.5e10
 ILL_CONDITIONED_BLOCK = (
     np.column_stack([np.ones(12), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -349,26 +401,25 @@ ILL_CONDITIONED_BLOCK = (
     24)
 
 
-# drawn by the recipe of resample_blocks from default_rng(3961): resamples 0
-# and 1 converge in 6 iterations, and the negative Hessian of resample 2 has
-# no Cholesky factor (FitError, with the LinAlgError as its cause), both in
-# this block and in fit() on its rows; a block of resample 2 alone ends in
-# SeparationError instead, as rounding may decide (see the test below)
+# drawn by the recipe of resample_blocks from default_rng(11481) at n=14:
+# resample 0 converges in 5 iterations, the x2 = 0 rows of resample 1 all
+# have y = 0, and resample 2 is nearly separated: its MLE exists (beta near
+# (-24, -32, 1, -87)), but the negative Hessian there is singular to working
+# precision, and the fit ends without a Cholesky factor (FitError, with the
+# LinAlgError as its cause), alike in this block, alone, and in fit() on its
+# rows in either order
 CHOLESKY_BLOCK = (
-    np.column_stack([np.ones(22), [1] * 5 + [0] * 17,
-                     [1, 1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1],
-                     [-1.3393481415479034, 2.02729269996159, -0.2702630660299005,
-                      -0.45161013062058614, -0.9141106970614797, 0.4360900376795989,
-                      -0.9219079781890096, 0.4343033336638477, 0.12007216560738208,
-                      -0.889313150026396, -0.7600106548931781, -1.1205660663829367,
-                      -0.5404591502866765, 0.6357410772097044, -0.8448317817787457,
-                      0.8148254345074919, -0.2832400189249498, -0.4626831856011715,
-                      0.3750822412342135, 1.741951432319203, -0.6724322226437622,
-                      0.004224001852928892]]),
-    np.array([1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1], dtype=float),
-    np.array([[11, 14, 9, 4, 12, 17, 0, 17, 17, 0, 2, 13, 19, 2, 14, 8, 7, 14, 12, 15, 11, 1],
-              [19, 19, 20, 14, 18, 16, 20, 15, 20, 5, 13, 20, 19, 12, 9, 4, 6, 1, 14, 11, 0, 17],
-              [21, 5, 12, 18, 3, 14, 8, 10, 18, 10, 3, 2, 20, 3, 2, 8, 18, 6, 12, 3, 2, 4]]),
+    np.column_stack([np.ones(14), [1] * 5 + [0] * 9,
+                     [1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0],
+                     [-1.3993408811632557, -0.5614168364079974, 0.31726896638763213,
+                      -0.6513120260209619, -0.6241199940466152, -1.6456395746969497,
+                      -0.19279928055890472, 1.5088756591283665, -0.24659163066010756,
+                      -0.5215954892535924, -0.25766409603216894, -1.2016724209364573,
+                      -2.0583169206749203, -1.088253223094145]]),
+    np.array([1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0], dtype=float),
+    np.array([[8, 1, 7, 12, 10, 6, 3, 2, 10, 6, 13, 0, 11, 6],
+              [9, 11, 1, 8, 3, 10, 2, 3, 13, 9, 0, 2, 4, 7],
+              [3, 0, 7, 3, 8, 11, 9, 9, 9, 10, 4, 9, 10, 12]]),
     25)
 
 
@@ -380,18 +431,18 @@ CHOLESKY_BLOCK = (
 def test_weighted_block_matches_each_materialised_resample(case):
     # each weight row of the batched core fits as fit() does on the copied
     # resample: the same exception (and message, but for a rank failure), or
-    # the same iteration count and estimates within 1e-10.  Quasi-separated
-    # resamples, whose MLE does not exist, are held to what rounding allows:
-    # - one that converges within the budget has cond(cov) of 1e10-1e12, and
-    #   any change of summation order, even fit() on the resample's rows
-    #   reversed, moves beta and cov by up to ~3e-5 (fits with cond(cov)
-    #   below 1e8 agree within 1e-12); rounding moves each entry of such a
-    #   cov by up to about cond(cov) * eps * max|cov|, however small the
-    #   entry itself;
-    # - where the Hessian's smallest eigenvalue reaches ~1e-17, rounding
-    #   decides whether its Cholesky factor fails (FitError) or one more
-    #   step trips the check on standardized coefficients (SeparationError);
-    #   the bootstrap skips both alike.
+    # the same iteration count and estimates within 1e-10.  Nearly separated
+    # resamples are held to what rounding allows:
+    # - one whose MLE is huge (|beta| near 20) has cond(cov) up to ~1e12, and
+    #   any change of summation order moves its beta and cov in their leading
+    #   digits' tail (fits with cond(cov) below 1e8 agree within 1e-12);
+    #   rounding moves each entry of such a cov by up to about
+    #   cond(cov) * eps * max|cov|, however small the entry itself;
+    # - one separated along a direction that no exact count sees: where the
+    #   Hessian's smallest eigenvalue reaches ~1e-17, rounding decides
+    #   whether its Cholesky factor fails (FitError) or one more step trips
+    #   the check on standardized coefficients (SeparationError); the
+    #   bootstrap skips both alike.
     X, y, idx, max_iter = case
     C = np.vstack([np.bincount(i, minlength=len(y)) for i in idx])
     for i, got in zip(idx, _newton(plain_design(X, y), C, max_iter=max_iter)):
@@ -419,9 +470,56 @@ def test_cholesky_block_fails_on_a_hessian_without_a_factor():
     X, y, idx, max_iter = CHOLESKY_BLOCK
     C = np.vstack([np.bincount(i, minlength=len(y)) for i in idx])
     first, second, third = _newton(plain_design(X, y), C, max_iter=max_iter)
-    assert first.iterations == second.iterations == 6
-    assert str(third) == "negative Hessian is not positive definite"
-    assert isinstance(third.__cause__, np.linalg.LinAlgError)
+    assert first.iterations == 5
+    assert str(second) == "separation: every observation where x2 is 0 has y = 0"
+    for got in (third, *_newton(plain_design(X, y), C[2:], max_iter=max_iter)):
+        assert str(got) == "negative Hessian is not positive definite"
+        assert isinstance(got.__cause__, np.linalg.LinAlgError)
+
+
+@given(resample_blocks())
+@example(FROZEN_BLOCK)
+@example(ILL_CONDITIONED_BLOCK)
+@example(CHOLESKY_BLOCK)
+def test_weighted_fits_match_the_rank_separation_and_irls_oracles(case):
+    # each weight row of the batched core, at the default max_iter, against
+    # independent oracles on its materialised resample: a rank-deficient
+    # design (SVD) is a RankDeficiencyError, a separated one (Konis's LP)
+    # some FitError, and any other has an MLE (IRLS), which the fit matches.
+    # Where that MLE has a standardized coefficient beyond 30, the documented
+    # heuristic may call it separated; where its negative Hessian is
+    # singular to working precision, the Cholesky factor may fail.
+    # The bound: the untaken step is below tol * se_j (the stopping rule),
+    # which moves each Hessian weight by at most tol * se(x_i beta) relative,
+    # and a solve rounds by about cond(cov) * eps; 4 and 16 are slack
+    X, y, idx, _ = case
+    C = np.vstack([np.bincount(i, minlength=len(y)) for i in idx])
+    eps, tol = np.finfo(np.float64).eps, 1e-10  # fit's default tol
+    for i, got in zip(idx, _newton(plain_design(X, y), C)):
+        Xr, yr = X[i], y[i]
+        if svd_rank(Xr) < X.shape[1]:
+            assert isinstance(got, RankDeficiencyError), got
+            continue
+        if lp_separated(Xr, yr):
+            assert isinstance(got, FitError), got
+            continue
+        beta = irls_fit(Xr, yr)
+        p = expit(Xr @ beta)
+        neg_h = (Xr * (p * (1.0 - p))[:, None]).T @ Xr
+        if isinstance(got, SeparationError):
+            assert (np.abs(beta[1:]) * Xr[:, 1:].std(axis=0) > 30.0).any(), got
+            continue
+        if isinstance(got, FitError) and str(got) == "negative Hessian is not positive definite":
+            lam = np.linalg.eigvalsh(neg_h)
+            assert lam[0] <= lam[-1] * max(Xr.shape) * eps, (got, lam)
+            continue
+        assert isinstance(got, lm.FitResult), got
+        cov = np.linalg.inv(neg_h)
+        rounding = 16.0 * np.linalg.cond(cov) * eps
+        se = np.sqrt(np.diag(cov))
+        se_eta = np.sqrt(np.einsum("ij,jk,ik->i", Xr, cov, Xr)).max()
+        assert (np.abs(got.beta - beta) <= 4 * tol * se + rounding * np.abs(beta).max()).all()
+        assert (np.abs(got.cov - cov) <= (4 * tol * se_eta + rounding) * np.abs(cov).max()).all()
 
 
 def test_cholesky_stands_in_the_identity_for_a_matrix_without_a_factor():

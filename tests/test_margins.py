@@ -14,7 +14,7 @@ from logitmargins.logit import _newton
 from logitmargins.margins import (MarginsError, _compile, _evaluate, _mean_row,
                                   bootstrap_se, compute_margins, margins_tsv, zstar)
 from oracles import ToyModel, fd_gradient
-from conftest import BOOT_CORPUS_SEED, kernel_gradient, margin_rows
+from conftest import BOOT_CORPUS_SEED, BOOT_SEED, kernel_gradient, margin_rows
 
 TOL = 1e-12
 
@@ -456,14 +456,16 @@ def test_bootstrap_se_of_constant_margin_is_binomial():
 
 
 def test_bootstrap_failure_ceiling():
-    # a level observed once disappears from ~37% of resamples, so the
-    # rank-deficient refits blow past the 10% failure budget
+    # a level held by two rows, one of each outcome, has a full-sample MLE;
+    # 19 of these 100 resamples miss it (rank deficient) and in 40 more its
+    # drawn rows share one outcome (separated), past the 10% failure budget
     rng = np.random.default_rng(13)
     n = 60
     codes = np.zeros(n, dtype=np.int64)
-    codes[0] = 1
+    codes[:2] = 1
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
+    y[:2] = (1.0, 0.0)
     ds = lm.Dataset("rare", (
         Column("y", "binary", y),
         Column("g", "categorical", codes, ("common", "rare")),
@@ -472,6 +474,25 @@ def test_bootstrap_failure_ceiling():
     with pytest.raises(MarginsError, match="replicates failed"):
         bootstrap_se(design, lm.MarginRequest(kind="aap", target="g"),
                      reps=100, seed=3)
+
+
+def test_bootstrap_refits_refuse_each_resample_with_an_all_0_level():
+    # in 11 of these 200 resamples no univ2 row has a top-10% paper: the
+    # exact count calls each separated before it iterates, and the bootstrap
+    # skips it like any failed refit (see the ceiling tests).  Without the
+    # count they converged after 23 iterations to beta(univ2) near -21 with
+    # standard errors above 1e4
+    separated = (8, 11, 24, 28, 47, 77, 81, 127, 192, 196, 199)
+    cfg = lm.default_config(2000, 2)
+    design = lm.build_design(lm.generate(cfg), lm.parse_formula(cfg.formula))
+    C = np.vstack([np.bincount(np.random.default_rng(child).integers(0, design.n, design.n),
+                               minlength=design.n)
+                   for child in np.random.SeedSequence(BOOT_SEED).spawn(200)])
+    outcomes = [r for b0 in range(0, 200, 16) for r in _newton(design, C[b0:b0 + 16])]
+    failed = {b: str(r) for b, r in enumerate(outcomes) if isinstance(r, lm.FitError)}
+    assert failed == dict.fromkeys(
+        separated, "separation: every observation where univ=univ2 is 1 has y = 0")
+    assert max(r.iterations for r in outcomes if isinstance(r, lm.FitResult)) <= 8
 
 
 def test_discrete_change_effect_is_aap_unit_difference(toy_fit):
@@ -487,15 +508,17 @@ def test_discrete_change_effect_is_aap_unit_difference(toy_fit):
 
 
 def test_bootstrap_skips_failed_replicates_under_the_ceiling():
-    # a level seen in 3 of 60 rows drops out of about 5% of resamples: those
-    # rank-deficient refits are counted and skipped, and the SEs come from
-    # the surviving replicates of the documented stream
+    # a level seen in 8 of 60 rows, 4 of each outcome, has a full-sample MLE;
+    # in 5 of these 100 resamples its drawn rows share one outcome: those
+    # separated refits are counted and skipped, and the SEs come from the
+    # surviving replicates of the documented stream
     rng = np.random.default_rng(0)
     n = 60
     codes = np.zeros(n, dtype=np.int64)
-    codes[:3] = 1
+    codes[:8] = 1
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
+    y[:8] = (1.0, 0.0) * 4
     ds = lm.Dataset("rare", (
         Column("y", "binary", y),
         Column("g", "categorical", codes, ("common", "rare")),
