@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -160,40 +161,98 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     return out
 
 
-def _score_hessians(X, y, C, P):
+def _products(X: np.ndarray) -> np.ndarray:
+    """The k(k+1)/2 column products x_i*x_j (i <= j, row-major over the upper
+    triangle) of the n x k design ``X``, stored products x rows.  A product
+    beyond the float64 range is inf, with no warning."""
+    XT = np.ascontiguousarray(X.T)
+    k, n = XT.shape
+    Zt = np.empty((k * (k + 1) // 2, n))
+    start = 0
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            np.multiply(XT[i:], XT[i], out=Zt[start:start + k - i])
+            start += k - i
+    return Zt
+
+
+@functools.cache
+def _gram_index(k: int) -> np.ndarray:
+    """The row of :func:`_products` that holds each entry (i, j) of a k x k Gram."""
+    index = np.empty((k, k), dtype=np.intp)
+    i, j = np.triu_indices(k)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    return index
+
+
+def _grams(Zt: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X'diag(w)X as (A, k, k) for each of the A rows w of ``W``, from the
+    column products ``Zt`` of X: one tiled product, gathered into the
+    symmetric matrices.  Overflow gives inf or NaN entries, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = _matmul_tiles(W, Zt.T)
+    return flat[:, _gram_index((math.isqrt(8 * len(Zt) + 1) - 1) // 2)]
+
+
+def _clears_rank(G: np.ndarray, n: int) -> np.ndarray:
+    """Per Gram X'diag(c)X of ``G`` (summed over n rows), whether it shows the
+    weighted design sqrt(c)*X to be of full rank beyond doubt, so that
+    :func:`_check_rank` need not run.
+
+    Each entry of a computed Gram is off by at most n*eps*sqrt(G_ii*G_jj)
+    <= n*eps*lmax (Cauchy-Schwarz), so the Gram by at most n*k*eps*lmax in
+    norm, and ``eigvalsh`` adds O(k*eps*lmax) (Weyl).  A computed ratio
+    lmin/lmax above tau = 16*n*k*eps thus leaves the true one above
+    15*n*k*eps, and sigma_min/sigma_max of sqrt(c)*X, its square root,
+    above sqrt(15*n*k*eps) (1e-5 at n=2000, k=15), where ``matrix_rank``
+    would have to find it below max(n, k)*eps (4e-13) to fail it.  tau
+    (1.1e-10 at n=2000, 8.2e-10 at the paper's n=15426) sits far below the
+    smallest ratio of the bootstrap and paper designs (1.3e-7 over the 201
+    fits of corpus seeds 61 and 2, 2.0e-7 for the paper fit), so the check
+    runs only on designs near rank deficiency, and on a Gram that is not
+    finite.
+    """
+    finite = np.isfinite(G).all(axis=(1, 2))
+    lam = np.linalg.eigvalsh(np.where(finite[:, None, None], G, 0.0))
+    tau = 16.0 * n * G.shape[1] * np.finfo(np.float64).eps
+    return finite & (lam[:, 0] > tau * lam[:, -1])
+
+
+def _score_hessians(X, Zt, y, C, P):
     """Scores (c(y-p))'X as (A, k) and negative Hessians X'diag(c p(1-p))X as
-    (A, k, k), each one tiled product ``(X * w).T @ X``, of the A fits whose
-    probabilities and weights are the rows of ``P`` and ``C``."""
-    score = _matmul_tiles((y - P) * C, X)
-    W = (1.0 - P) * P * C
-    neg_h = np.empty((len(P), X.shape[1], X.shape[1]))
-    for a, w in enumerate(W):
-        _matmul_tiles((X * w[:, None]).T, X, out=neg_h[a])
-    return score, neg_h
+    (A, k, k) of the A fits whose probabilities and weights are the rows of
+    ``P`` and ``C``: two tiled products, the second over the column products
+    ``Zt`` of X (:func:`_grams`)."""
+    return _matmul_tiles((y - P) * C, X), _grams(Zt, (1.0 - P) * P * C)
 
 
-def _separations(X, y, C, term_map: TermMap) -> list:
+def _separations(X, C, G, Gy, term_map: TermMap) -> list:
     """Per row c of the weights ``C``, a :class:`SeparationError` if, for 0/1
     columns x_i and x_j of the rows of weight c > 0 (x_0 the intercept), one
     cell of (x_i, x_j) has one outcome only and the opposite cell, if it has
     rows, only the other, else None: x_i + x_j - 1 (cells 11 and 00) or
     x_i - x_j (cells 10 and 01) then raises the likelihood without bound
     (Albert & Anderson 1984).  Every separating direction in the span of 1,
-    x_i and x_j is a sum of these two."""
+    x_i and x_j is a sum of these two.  The cell counts come from the Grams
+    X'diag(c)X in ``G`` and X'diag(c y)X in ``Gy`` at the 0/1 columns, where
+    each entry counts the rows with x_i = x_j = 1: exact for integer weights.
+    """
     binary = _matmul_tiles(C, ((X != 0.0) & (X != 1.0)).astype(np.float64)) == 0  # 0/1 per fit
     B = np.flatnonzero(binary.any(axis=0))
-    Z, binary = X[:, B], binary[:, B, None] & binary[:, None, B]  # (fits, m, m) pairs
+    binary = binary[:, B, None] & binary[:, None, B]  # (fits, m, m) pairs
     cells = []  # per fit and pair, the rows of cells 11, 00, 10, 01, then those with y = 1
-    for W in (C, C * y):  # counts, exact for integer weights
-        g = np.array([_matmul_tiles((Z * w[:, None]).T, Z) for w in W])  # x_i = x_j = 1
-        d = np.diagonal(g, axis1=1, axis2=2)  # the rows with x_i = 1
-        cells.append(np.array([g, g[:, :1, :1] - d[:, :, None] - d[:, None] + g,
-                               d[:, :, None] - g, d[:, None] - g]))
-    n, o = cells
-    ones, zeros = o == n, o == 0.0  # an empty cell is both
-    # hit[q]: x_i + x_j - 1 with y = 1 (q = 0) or 0 (q = 1) on its +1 cell, x_i - x_j (2, 3)
-    hit = np.triu([ones[0] & zeros[1], zeros[0] & ones[1], ones[2] & zeros[3], zeros[2] & ones[3]])
-    hit = np.moveaxis(hit & np.repeat(n[[0, 2]] + n[[1, 3]] > 0, 2, axis=0) & binary, 0, -1)
+    # a pair that is not 0/1 on a fit's rows may not be finite, and is masked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in (G[:, B[:, None], B], Gy[:, B[:, None], B]):  # x_i = x_j = 1
+            d = np.diagonal(g, axis1=1, axis2=2)  # the rows with x_i = 1
+            cells.append(np.array([g, g[:, :1, :1] - d[:, :, None] - d[:, None] + g,
+                                   d[:, :, None] - g, d[:, None] - g]))
+        n, o = cells
+        ones, zeros = o == n, o == 0.0  # an empty cell is both
+        # hit[q]: x_i + x_j - 1 with y = 1 (q = 0) or 0 (q = 1) on its +1 cell, x_i - x_j (2, 3)
+        hit = np.triu([ones[0] & zeros[1], zeros[0] & ones[1], ones[2] & zeros[3],
+                       zeros[2] & ones[3]])
+        hit = np.moveaxis(hit & np.repeat(n[[0, 2]] + n[[1, 3]] > 0, 2, axis=0) & binary, 0, -1)
     out = [None] * len(C)
     for f in np.flatnonzero(hit.any(axis=(1, 2, 3))):
         i, j, q = np.unravel_index(np.argmax(hit[f]), hit.shape[1:])
@@ -235,8 +294,14 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     ``None`` is one fit of the rows as given.  Fit b runs every check and
     step of a fit of its materialised resample (``sqrt(c)*X`` for the rank
     check, weighted sums elsewhere), so it gives that fit's iterations,
-    exceptions and, up to rounding, estimates.  A fit ends before iterating
-    on a rank deficiency, else on :func:`_separations`.  After each
+    exceptions and, up to rounding, estimates.  Once per call the column
+    products of X are built (:func:`_products`, n*k(k+1)/2 doubles, held
+    until the call returns), and every X'diag(w)X the fits need is one
+    tiled product with them (:func:`_grams`): the Grams under ``C`` and
+    ``C*y`` and each evaluation's negative Hessians.  A fit ends before
+    iterating on a rank deficiency (the rank check runs only on a fit
+    whose Gram :func:`_clears_rank` does not clear), else on
+    :func:`_separations`.  After each
     evaluation, one verdict per fit takes the first that holds: a
     standardized coefficient beyond 30 (:class:`SeparationError`);
     ``max_iter`` iterations (:class:`ConvergenceError`); a negative Hessian
@@ -253,10 +318,12 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     if n <= k:
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
-    out = _separations(X, y, C, term_map)
-    for b, c in enumerate(C):
+    Zt = _products(X)
+    G = _grams(Zt, C)
+    out = _separations(X, C, G, _grams(Zt, C * y), term_map)
+    for b in np.flatnonzero(~_clears_rank(G, n)):
         try:
-            _check_rank(X * np.sqrt(c)[:, None], term_map)
+            _check_rank(X * np.sqrt(C[b])[:, None], term_map)
         except RankDeficiencyError as exc:
             out[b] = exc
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
@@ -277,7 +344,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     trace = ll[:, None]  # (A, iterations + 1)
     iterations = 0
     while True:
-        score, neg_h = _score_hessians(X, y, C, P)
+        score, neg_h = _score_hessians(X, Zt, y, C, P)
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
         L, errors = _cholesky(neg_h)
         step = _cho_solve(L, score[:, :, None])[:, :, 0]

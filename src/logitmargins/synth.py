@@ -14,6 +14,7 @@ one block for the response.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,6 +79,15 @@ def _lognormal_params(mean: float, sd: float) -> tuple[float, float]:
 def _validate(cfg: SynthConfig):
     if cfg.n <= 0:
         raise SynthError(f"corpus size must be positive, got {cfg.n}")
+    # each column holds n 8-byte values (doubles, or int64 factor codes); a
+    # corpus whose columns alone exceed the machine's memory is refused
+    # before anything is drawn
+    columns = 1 + len(cfg.factors) + len(cfg.continuous)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * cfg.n * columns > memory:
+        raise SynthError(f"corpus size {cfg.n} needs {8 * cfg.n * columns:.3g} bytes for its "
+                         f"{columns} columns, more than the {memory:.3g} bytes of this "
+                         "machine's memory")
     if cfg.seed < 0:
         raise SynthError(f"seed must be non-negative, got {cfg.seed}")
     for var, probs in cfg.factors.items():

@@ -131,6 +131,18 @@ def test_synth_rejects_zero_rows(tmp_path):
     assert "positive" in r.stderr
 
 
+def test_synth_refuses_a_corpus_beyond_the_machine_memory(tmp_path):
+    # 1e14 rows of 8 columns need 6.4e15 bytes: refused before anything is
+    # drawn; the capped address space turns an attempt into a MemoryError
+    r = run_cli("synth", "--n", "100000000000000", "--seed", "1",
+                "--out", str(tmp_path / "x.csv"), preexec_fn=cap_address_space)
+    assert r.returncode == 1 and r.stdout == ""
+    line, = r.stderr.splitlines()
+    assert line.startswith("error: corpus size 100000000000000 needs 6.4e+15 bytes for its "
+                           "8 columns, more than the "), line
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_synth_then_summarize_matches_targets(workspace):
     r = run_cli("summarize", "--data", str(workspace / "s.csv"))
     assert r.returncode == 0
@@ -707,6 +719,19 @@ def test_huge_covariate_is_one_rank_error_line(tmp_path):
     rows = [f"{i % 2},{v!r}" for i, v in enumerate(x.tolist())]
     (tmp_path / "huge.csv").write_text("y,x\n" + "\n".join(rows) + "\n")
     r = run_cli("fit", "--data", str(tmp_path / "huge.csv"), "--model", "y ~ x")
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: design matrix is rank deficient; dependent columns: intercept"]
+
+
+def test_overflowing_column_products_are_one_rank_error_line(tmp_path):
+    # x and z of order 1e155: x*z, x^2 and z^2 overflow, so the Gram screen
+    # sees a non-finite Gram (with no warning) and the rank check decides
+    rng = np.random.default_rng(1)
+    x, z = rng.normal(size=(2, 40)) * 1e155
+    rows = [f"{i % 2},{a!r},{b!r}" for i, (a, b) in enumerate(zip(x.tolist(), z.tolist()))]
+    (tmp_path / "huge.csv").write_text("y,x,z\n" + "\n".join(rows) + "\n")
+    r = run_cli("fit", "--data", str(tmp_path / "huge.csv"), "--model", "y ~ x + z")
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: design matrix is rank deficient; dependent columns: intercept"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from logitmargins import logit as logit_mod
 from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
-                                SeparationError, _cholesky, _newton, _score_hessians, fit,
-                                fit_stats, from_json, log_likelihood, predict,
-                                score_and_hessian, to_json)
+                                SeparationError, _cholesky, _clears_rank, _grams, _newton,
+                                _products, _score_hessians, fit, fit_stats, from_json,
+                                log_likelihood, predict, score_and_hessian, to_json)
 from oracles import fd_gradient, irls_fit, lp_separated, svd_rank
-from conftest import plain_design, plain_term_map
+from conftest import BOOT_SEED, plain_design, plain_term_map
 
 DATA = Path(__file__).parent / "data"
 
@@ -346,6 +347,80 @@ def resample_blocks(draw):
     y = (rng.random(n) < expit(X @ rng.normal(scale=0.8, size=4))).astype(float)
     idx = rng.integers(0, n, size=(draw(st.integers(1, 6)), n))
     return X, y, idx, draw(st.integers(1, 25))
+
+
+@st.composite
+def near_dependent_blocks(draw):
+    """A ``resample_blocks`` design with a fifth column, a combination of the
+    others plus noise of relative size 1 down to 1e-14 (or none), every
+    column scaled by a power of two within 2^+-40; a coefficient vector with
+    |x_j beta_j| <= 2; and 16 resamples of the rows, each leaving about a
+    third of them at weight zero."""
+    X, y, idx, _ = draw(resample_blocks())
+    n = len(y)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    combo = X @ rng.normal(size=X.shape[1])
+    noise = draw(st.sampled_from([0.0] + [10.0 ** -e for e in range(15)]))
+    X = np.column_stack([X, combo + noise * np.abs(combo).max() * rng.normal(size=n)])
+    X = X * 2.0 ** np.array(draw(st.lists(st.integers(-40, 40), min_size=5, max_size=5)))
+    beta = rng.uniform(-2.0, 2.0, size=5) / np.abs(X).max(axis=0)
+    idx = np.vstack([idx, rng.integers(0, n, size=(16 - len(idx), n))])
+    return X, y, beta, idx
+
+
+@given(near_dependent_blocks())
+def test_the_rank_screen_clears_only_full_rank_designs_and_grams_are_hessians(case):
+    # wherever the Gram screen lets a fit skip the rank check, the SVD oracle
+    # finds the weighted design of full rank
+    X, y, beta, idx = case
+    n, k = X.shape
+    eps = np.finfo(np.float64).eps
+    C = np.vstack([np.bincount(i, minlength=n) for i in idx]).astype(float)
+    Zt = _products(X)
+    for c in C[_clears_rank(_grams(Zt, C), n)]:
+        assert svd_rank(np.sqrt(c)[:, None] * X) == k
+    # the block's Hessians are the reference's on each materialised resample:
+    # an entry sums n terms w x_i x_j, each form rounds by (n + 2) eps times
+    # the sum of their magnitudes M (n k eps in norm, the rounding tau rests
+    # on), and eta = x beta rounds each weight by k eps |x||beta| relative
+    p = expit(X @ beta)
+    W = C * p * (1.0 - p)
+    slack = 2 * n + 8 + k * (np.abs(X) @ np.abs(beta)).max()
+    for i, got, w in zip(idx, _grams(Zt, W), W):
+        want = -score_and_hessian(beta, X[i], y[i])[1]
+        M = (np.abs(X) * w[:, None]).T @ np.abs(X)
+        assert (np.abs(got - want) <= slack * eps * M).all()
+
+
+def test_no_rank_check_runs_on_the_paper_fit_or_its_bootstrap(corpus15k_fit, corpus2k,
+                                                               monkeypatch):
+    # the screen's threshold (8e-10 at n=15426) sits far below the smallest
+    # Gram eigenvalue ratio of these designs (about 1.3e-7), so none reaches
+    # the SVD
+    checked = []
+    monkeypatch.setattr(logit_mod, "_check_rank", lambda *args: checked.append(args))
+    assert fit(corpus15k_fit[1]).iterations == 6
+    result = lm.bootstrap_se(corpus2k[1], lm.MarginRequest("ame", "univ"), 200, BOOT_SEED)
+    assert result.failures == 0 and checked == []
+
+
+def test_a_newton_block_holds_one_product_matrix(corpus2k):
+    # a 16-fit block at n=2000, k=15 peaks at its column products
+    # (n k(k+1)/2 doubles, 1.83 MiB) plus about 6.6 of its own (16, n)
+    # arrays; the slack of 8 such arrays is well short of a second product
+    # matrix (7.5 of them)
+    design = corpus2k[1]
+    n, k = design.X.shape
+    rng = np.random.default_rng(BOOT_SEED)
+    C = np.vstack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(16)])
+    _newton(design, C)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        _newton(design, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n * k * (k + 1) // 2 + 8 * len(C) * n), peak
 
 
 def test_convergence_needs_a_small_score():

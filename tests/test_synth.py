@@ -12,6 +12,17 @@ def test_zero_rows_rejected():
         generate(default_config(0, 1))
 
 
+def test_corpus_size_is_checked_against_the_machine_memory(monkeypatch):
+    # with 1 MiB of memory reported, 2000 rows of 8 columns (128 kB) are drawn
+    # and 20000 (1.28 MB) are refused
+    sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr("logitmargins.synth.os.sysconf", sysconf.__getitem__)
+    assert generate(default_config(2000, 1)).n_rows == 2000
+    with pytest.raises(SynthError, match=r"^corpus size 20000 needs 1\.28e\+06 bytes for its "
+                                         r"8 columns, more than the 1\.05e\+06 bytes"):
+        generate(default_config(20000, 1))
+
+
 def test_same_seed_gives_identical_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     lm.to_csv(generate(default_config(700, 123)), a)
