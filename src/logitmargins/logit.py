@@ -6,7 +6,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -140,7 +139,7 @@ def _log_likelihoods(eta: np.ndarray, y: np.ndarray, C: np.ndarray) -> np.ndarra
     return ll.sum(axis=1)
 
 
-def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None):
+def _matmul_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` summed over the n data rows, in output tiles of at most 16 x 16,
     each the sum of its partials over chunks of at most 8192 rows, added in
     chunk order.
@@ -150,8 +149,7 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     2 threads on every shape tried (see the README).  A product within one
     tile and one chunk is a single call.
     """
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], _TILE):
         for j in range(0, b.shape[1], _TILE):
             tile = out[i:i + _TILE, j:j + _TILE]
@@ -294,11 +292,15 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     ``None`` is one fit of the rows as given.  Fit b runs every check and
     step of a fit of its materialised resample (``sqrt(c)*X`` for the rank
     check, weighted sums elsewhere), so it gives that fit's iterations,
-    exceptions and, up to rounding, estimates.  Once per call the column
-    products of X are built (:func:`_products`, n*k(k+1)/2 doubles, held
-    until the call returns), and every X'diag(w)X the fits need is one
-    tiled product with them (:func:`_grams`): the Grams under ``C`` and
-    ``C*y`` and each evaluation's negative Hessians.  A fit ends before
+    exceptions, ``n`` (the total weight sum(c)), ``ll0`` and, up to
+    rounding, estimates.  Once per call the column products of X are built
+    (:func:`_products`, n*k(k+1)/2 doubles, held until the call returns),
+    and every X'diag(w)X the fits need is one tiled product with them
+    (:func:`_grams`): the Grams G under ``C`` and Gy under ``C*y``, and the
+    negative Hessian of each evaluation after a step.  The Grams give each
+    fit its totals (sum(c) is G[0, 0], sum(c*y) is Gy[0, 0]), its weighted
+    column means (G[0, :] / sum(c)) and its evaluation at beta = 0, where
+    every p is 1/2 and the negative Hessian is G/4.  A fit ends before
     iterating on a rank deficiency (the rank check runs only on a fit
     whose Gram :func:`_clears_rank` does not clear), else on
     :func:`_separations`.  After each
@@ -319,8 +321,8 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
         raise FitError(f"need more observations than parameters (n={n}, k={k})")
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
     Zt = _products(X)
-    G = _grams(Zt, C)
-    out = _separations(X, C, G, _grams(Zt, C * y), term_map)
+    G, Gy = _grams(Zt, C), _grams(Zt, C * y)
+    out = _separations(X, C, G, Gy, term_map)
     for b in np.flatnonzero(~_clears_rank(G, n)):
         try:
             _check_rank(X * np.sqrt(C[b])[:, None], term_map)
@@ -329,22 +331,24 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     act = np.flatnonzero([o is None for o in out])  # the fits still iterating
     if not act.size:
         return out
-    C = C[act]
-    ll0 = np.array([n * (p * math.log(p) + (1.0 - p) * math.log(1.0 - p)) for p in C @ y / n])
+    C, m = C[act], G[act, 0, 0]  # m: each fit's total weight; Gy[:, 0, 0] its weight at y = 1
+    ll0 = m * [p * math.log(p) + (1.0 - p) * math.log(1.0 - p) for p in Gy[act, 0, 0] / m]
     # weighted column sds from moments about the full-sample mean, near every weighted one
-    D = X - X.mean(axis=0)
-    shift = _matmul_tiles(C, D) / n
-    col_var = _matmul_tiles(C, np.square(D, out=D)) / n - shift * shift
+    mean = X.mean(axis=0)
+    D = X - mean
+    shift = G[act, 0, :] / m[:, None] - mean  # the weighted column means, less that mean
+    col_var = _matmul_tiles(C, np.square(D, out=D)) / m[:, None] - shift * shift
     col_sd = np.sqrt(np.maximum(col_var[:, 1:], 0.0))
     col_scale = np.where(col_sd > 0, col_sd, 1.0)
 
+    # at beta = 0 every p is 1/2: the likelihood is m log(1/2), the score
+    # (c(y - 1/2))'X and the negative Hessian X'diag(c/4)X, a quarter of G
     beta = np.zeros((act.size, k))
-    P = np.full((act.size, n), 0.5)  # expit(0)
-    ll = _log_likelihoods(np.zeros_like(P), y, C)
+    ll = -math.log(2.0) * m
     trace = ll[:, None]  # (A, iterations + 1)
+    score, neg_h = _matmul_tiles((y - 0.5) * C, X), G[act] / 4.0
     iterations = 0
     while True:
-        score, neg_h = _score_hessians(X, Zt, y, C, P)
         quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
         L, errors = _cholesky(neg_h)
         step = _cho_solve(L, score[:, :, None])[:, :, 0]
@@ -362,14 +366,14 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
             elif converged[a]:
                 cov = _cho_solve(L[a], np.eye(k))
                 out[b] = FitResult(beta=beta[a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
-                                   ll0=float(ll0[a]), n=n, iterations=iterations,
+                                   ll0=float(ll0[a]), n=int(m[a]), iterations=iterations,
                                    term_map=term_map, ll_trace=tuple(trace[a]))
             elif not np.isfinite(beta[a] + step[a]).all():
                 out[b] = FitError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
-            act, C, col_scale, beta, P, ll, ll0, trace, step = (
-                v[keep] for v in (act, C, col_scale, beta, P, ll, ll0, trace, step))
+            act, C, m, col_scale, beta, ll, ll0, trace, step = (
+                v[keep] for v in (act, C, m, col_scale, beta, ll, ll0, trace, step))
         if not act.size:
             break
 
@@ -386,9 +390,10 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
                 break
             scale[halve] *= 0.5
         # the accepted eta serves the likelihood and the next evaluation
-        beta, ll, P = cand, cand_ll, expit(eta, out=eta)
+        beta, ll = cand, cand_ll
         trace = np.column_stack((trace, ll))
         iterations += 1
+        score, neg_h = _score_hessians(X, Zt, y, C, expit(eta, out=eta))
     return out
 
 

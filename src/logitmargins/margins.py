@@ -195,10 +195,13 @@ def _compile(design: DesignMatrix, request: MarginRequest) -> _Plan:
 
     Each output row is a (label, at, plus, minus) spec; ``plus`` and
     ``minus`` are scenario keys (factor level, value), and a row without
-    ``minus`` is the ``plus`` scenario alone.  A grid value whose square
-    overflows, for a variable with a squared term, is a :class:`MarginsError`.
+    ``minus`` is the ``plus`` scenario alone.  A design with no rows, and a
+    grid value whose square overflows, for a variable with a squared term,
+    are a :class:`MarginsError`.
     """
     tm, arr = design.term_map, design.X
+    if not len(arr):
+        raise MarginsError("the design has no rows to average the margins over")
     kind, target = request.kind, request.target
     atmeans = kind in ("apm", "mem")
     effect = kind in ("ame", "mem", "merv")

@@ -154,6 +154,12 @@ def render(spec: PlotSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
+# the markup characters as entities, and each character XML 1.0 cannot carry,
+# not even as a reference (the C0 controls but tab, line feed and carriage
+# return; U+FFFE and U+FFFF), as U+FFFD
+_ESCAPES = {**{c: "\ufffd" for c in (*range(0x20), 0xFFFE, 0xFFFF) if c not in (9, 10, 13)},
+            ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", ord('"'): "&quot;"}
+
+
 def _esc(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace('"', "&quot;"))
+    return text.translate(_ESCAPES)

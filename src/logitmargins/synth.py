@@ -81,10 +81,14 @@ def _validate(cfg: SynthConfig):
         raise SynthError(f"corpus size must be positive, got {cfg.n}")
     # each column holds n 8-byte values (doubles, or int64 factor codes); a
     # corpus whose columns alone exceed the machine's memory is refused
-    # before anything is drawn
+    # before anything is drawn.  Where the memory cannot be read (no
+    # os.sysconf, an unknown name, or -1 for indeterminate) there is no bound
     columns = 1 + len(cfg.factors) + len(cfg.continuous)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * cfg.n * columns > memory:
+    try:
+        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, ValueError, OSError):
+        memory = 0
+    if memory > 0 and 8 * cfg.n * columns > memory:
         raise SynthError(f"corpus size {cfg.n} needs {8 * cfg.n * columns:.3g} bytes for its "
                          f"{columns} columns, more than the {memory:.3g} bytes of this "
                          "machine's memory")

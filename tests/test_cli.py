@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -396,6 +397,28 @@ def test_plot_csv_quotes_a_label_with_a_comma(tmp_path):
     labels = [line.split("\t")[0] for line in (tmp_path / "t.tsv").read_text().splitlines()]
     assert [row[0] for row in rows[1:]] == labels[1:]
     assert any("a,1" in label for label in labels)
+
+
+def test_plot_of_a_label_with_a_control_character_is_well_formed_xml(tmp_path):
+    # XML 1.0 cannot carry U+0001, not even escaped: the SVG writes U+FFFD,
+    # and the companion CSV keeps the exact label
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=200)
+    g = np.where(rng.random(200) < 0.5, "a\x01b", "c")
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-x))).astype(int)
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([("y", "g", "x"), *zip(y, g, x)])
+    model = tmp_path / "m.json"
+    r = run_cli("fit", "--data", str(tmp_path / "d.csv"), "--model", "y ~ C(g) + x",
+                "--out", str(model))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("margins", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+                "--over", "C(g)", "--at", "x=-1:1:0.5", "--plot", str(tmp_path / "p.svg"))
+    assert r.returncode == 0, r.stderr
+    text = "".join(ElementTree.parse(tmp_path / "p.svg").getroot().itertext())
+    assert "a\ufffdb" in text and "\x01" not in text
+    with open(tmp_path / "p.svg.csv", newline="", encoding="utf-8") as fh:
+        assert any(row[0].endswith("=a\x01b") for row in csv.reader(fh))
 
 
 def test_table_quotes_a_label_with_a_tab_or_a_quote(tmp_path):

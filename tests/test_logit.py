@@ -13,8 +13,8 @@ import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
 from logitmargins import logit as logit_mod
 from logitmargins.logit import (ConvergenceError, FitError, RankDeficiencyError,
-                                SeparationError, _cholesky, _clears_rank, _grams, _newton,
-                                _products, _score_hessians, fit, fit_stats, from_json,
+                                SeparationError, _cholesky, _clears_rank, _grams,
+                                _matmul_tiles, _newton, _products, _score_hessians, fit, fit_stats, from_json,
                                 log_likelihood, predict, score_and_hessian, to_json)
 from oracles import fd_gradient, irls_fit, lp_separated, svd_rank
 from conftest import BOOT_SEED, plain_design, plain_term_map
@@ -331,7 +331,7 @@ def test_one_score_hessian_evaluation_per_iteration(name, request, monkeypatch):
     monkeypatch.setattr("logitmargins.logit._score_hessians", counted)
     fr = fit(design)
     assert fr.iterations > 1
-    assert len(calls) == fr.iterations + 1
+    assert len(calls) == fr.iterations  # the evaluation at beta = 0 is read from the Grams
 
 
 @st.composite
@@ -347,6 +347,19 @@ def resample_blocks(draw):
     y = (rng.random(n) < expit(X @ rng.normal(scale=0.8, size=4))).astype(float)
     idx = rng.integers(0, n, size=(draw(st.integers(1, 6)), n))
     return X, y, idx, draw(st.integers(1, 25))
+
+
+@given(resample_blocks())
+def test_the_evaluation_at_beta_zero_is_a_quarter_of_the_gram(case):
+    # at beta = 0 every p is 1/2 and p(1 - p) = 1/4, a power of two, so the
+    # first evaluation is the score at p = 1/2 and the Gram under C over 4,
+    # bit for bit: _newton reads it from its Grams instead of evaluating
+    X, y, idx, _ = case
+    C = np.vstack([np.bincount(i, minlength=len(y)) for i in idx]).astype(float)
+    Zt = _products(X)
+    score, neg_h = _score_hessians(X, Zt, y, C, np.full(C.shape, 0.5))
+    assert np.array_equal(score, _matmul_tiles((y - 0.5) * C, X))
+    assert np.array_equal(neg_h, _grams(Zt, C) / 4)
 
 
 @st.composite
@@ -539,6 +552,22 @@ def test_weighted_block_matches_each_materialised_resample(case):
         scale = 1e-12 if cond < 1e8 else cond * np.finfo(np.float64).eps
         np.testing.assert_allclose(got.cov, want.cov, rtol=rtol,
                                    atol=scale * np.abs(want.cov).max())
+
+
+def test_each_fit_of_a_block_has_the_totals_of_its_own_weight_row():
+    # a row that leaves half the data at weight 0 and one that counts every
+    # row twice fit as their materialised rows do: n, ll0, ll and the
+    # iterations are the weight row's own, not the design's
+    X, y, _ = random_problem(9, n=300, k=5)
+    n = len(y)
+    C = np.vstack([np.repeat([0.0, 1.0], n // 2), np.full(n, 2.0)])
+    materialised = (np.arange(n // 2, n), np.tile(np.arange(n), 2))
+    for got, rows in zip(_newton(plain_design(X, y), C), materialised):
+        want = fit(plain_design(X[rows], y[rows]))
+        assert (got.n, got.ll0, got.iterations) == (want.n, want.ll0, want.iterations)
+        assert got.ll == pytest.approx(want.ll, rel=1e-12)
+        np.testing.assert_allclose(got.beta, want.beta, rtol=1e-10)
+        np.testing.assert_allclose(got.cov, want.cov, rtol=1e-10)
 
 
 def test_cholesky_block_fails_on_a_hessian_without_a_factor():

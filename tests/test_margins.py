@@ -365,6 +365,16 @@ def test_compute_margins_routing(toy_fit):
         compute_margins(fr, design, lm.MarginRequest(kind="merv", target="g"))
 
 
+@pytest.mark.parametrize("kind, target, at", [("aap", "univ", None), ("ame", "jif", None),
+                                              ("aap", "jif", ("jif", (0.0, 1.0))),
+                                              ("apm", "univ", None)])
+def test_a_design_with_no_rows_is_a_margins_error(corpus15k_fit, kind, target, at):
+    fr, design = corpus15k_fit
+    empty = lm.DesignMatrix(design.X[:0], design.y[:0], design.term_map)
+    with pytest.raises(MarginsError, match="^the design has no rows"):
+        margin_rows(fr, empty, kind, target, at=at)
+
+
 def test_grid_validation(toy_fit):
     fr, design = toy_fit
     with pytest.raises(MarginsError, match="empty"):

@@ -23,6 +23,17 @@ def test_corpus_size_is_checked_against_the_machine_memory(monkeypatch):
         generate(default_config(20000, 1))
 
 
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("sysconf", [{"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": -1}.__getitem__,
+                                     _unknown_name], ids=["indeterminate", "unknown-name"])
+def test_a_memory_that_cannot_be_read_sets_no_bound(sysconf, monkeypatch):
+    monkeypatch.setattr("logitmargins.synth.os.sysconf", sysconf)
+    assert generate(default_config(100, 1)).n_rows == 100
+
+
 def test_same_seed_gives_identical_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     lm.to_csv(generate(default_config(700, 123)), a)
