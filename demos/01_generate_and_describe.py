@@ -18,9 +18,8 @@ ds = lm.generate(cfg)
 print(f"corpus: {ds.n_rows} publications, columns {', '.join(ds.names)}")
 print(f"share highly cited: {ds.column('top10').values.mean():.3f}\n")
 
-table = lm.summarize(ds)
 print(f"{'variable':<24}{'%/mean':>10}{'sd':>9}{'min':>8}{'max':>8}")
-for row in table.rows:
+for row in lm.summarize(ds):
     name = row.variable if row.level is None else f"{row.variable}={row.level}"
     kind = ds.column(row.variable).kind
     value = f"{row.value:.4g}" if kind == "continuous" else f"{row.value:.1f}%"

@@ -303,9 +303,8 @@ def cmd_margins(args) -> int:
 def cmd_summarize(args) -> int:
     ds = _load_data(args.data, _parse_schema_arg(args.schema) if args.schema
                     else ds_mod.sniff_schema(args.data))
-    table = ds_mod.summarize(ds)
     print(f"{'variable':<28}{'%/mean':>10}{'sd':>10}{'min':>10}{'max':>10}")
-    for row in table.rows:
+    for row in ds_mod.summarize(ds):
         name = row.variable if row.level is None else f"{row.variable}={row.level}"
         col = ds.column(row.variable)
         if col.kind == "continuous":
@@ -389,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Exit status 0 on success; 1 with one ``error:`` line
-    for a library error or an unreadable or unwritable file; 2 for a usage or
-    formula syntax error."""
+    for a library error, an unreadable or unwritable file, or running out of
+    memory; 2 for a usage or formula syntax error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError,
-            synth_mod.SynthError, OSError) as exc:
-        _err(str(exc))
+            synth_mod.SynthError, OSError, MemoryError) as exc:
+        _err(str(exc) or "out of memory")  # numpy's MemoryError names the array
         return 1
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,9 +97,8 @@ class Dataset:
     time; it is metadata and does not participate in equality.
     """
 
-    name: str
     columns: tuple[Column, ...]
-    n_dropped: int = field(default=0, compare=False)
+    n_dropped: int = 0
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -128,7 +127,7 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.name == other.name and self.names == other.names
+        return (self.names == other.names
                 and all(a.kind == b.kind and a.levels == b.levels
                         and np.array_equal(a.values, b.values)
                         for a, b in zip(self.columns, other.columns)))
@@ -146,11 +145,6 @@ class SummaryRow:
     vmax: float
 
 
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[SummaryRow, ...]
-
-
 def _normalize_schema(schema: Sequence) -> list[ColumnSpec]:
     out = []
     for entry in schema:
@@ -162,7 +156,7 @@ def _normalize_schema(schema: Sequence) -> list[ColumnSpec]:
     return out
 
 
-def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
+def load_csv(path, schema: Sequence) -> Dataset:
     """Load a typed dataset from a CSV file.
 
     ``schema`` lists ``(name, kind)`` pairs or :class:`ColumnSpec` objects;
@@ -189,8 +183,8 @@ def load_csv(path, schema: Sequence, name: Optional[str] = None) -> Dataset:
         raise DataError(f"{path}: no rows left after listwise deletion")
     if dropped:
         cells = [[t for i, t in enumerate(col) if i not in dropped] for col in cells]
-    return Dataset(name=name or str(path), n_dropped=len(dropped),
-                   columns=tuple(_make_column(s, col) for s, col in zip(specs, cells)))
+    return Dataset(tuple(_make_column(s, col) for s, col in zip(specs, cells)),
+                   n_dropped=len(dropped))
 
 
 def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
@@ -284,9 +278,10 @@ def sniff_schema(path) -> list[ColumnSpec]:
     return specs
 
 
-def summarize(ds: Dataset) -> SummaryTable:
-    """Descriptive table: level percentages for factors and binaries, moments
-    (mean, sample sd, min, max) for continuous columns."""
+def summarize(ds: Dataset) -> tuple[SummaryRow, ...]:
+    """One descriptive row per line of the table: level percentages for
+    factors and binaries, moments (mean, sample sd, min, max) for continuous
+    columns."""
     if ds.n_rows == 0:
         raise DataError("cannot summarize an empty dataset")
     rows: list[SummaryRow] = []
@@ -304,5 +299,5 @@ def summarize(ds: Dataset) -> SummaryTable:
             sd = float(np.std(c.values, ddof=1)) if c.n > 1 else None
             rows.append(SummaryRow(c.name, None, mean, sd,
                                    float(c.values.min()), float(c.values.max())))
-    return SummaryTable(tuple(rows))
+    return tuple(rows)
 

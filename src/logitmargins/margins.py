@@ -143,8 +143,8 @@ def _mean_row(arr: np.ndarray, term_map: TermMap, weights=None) -> np.ndarray:
     # the row of sample means of arr, each row counted ``weights`` times if
     # given: a factor's indicators become its level shares, and a squared
     # column the square of its variable's mean, as a substitution sets it
-    n = len(arr)
-    row = arr.mean(axis=0) if weights is None else np.einsum("i,ij->j", weights, arr) / n
+    row = (arr.mean(axis=0) if weights is None
+           else np.einsum("i,ij->j", weights, arr) / weights.sum())
     for j, c in enumerate(term_map.columns):
         if c.transform == SQUARE:
             m = row[term_map.linear_col(c.source)]
@@ -309,11 +309,14 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
     """Row estimates ``L@est`` and, without ``weights``, their (k, R) gradients.
 
     ``weights`` counts how often each design row enters, as in a bootstrap
-    resample: the estimates average over the weighted rows, or at-means over
-    the weighted row of sample means.  A row that is not finite, estimate
-    or gradient, is a :class:`MarginsError` naming the first.
+    resample: the estimates average over the weighted rows, dividing by the
+    weights' total, or at-means over the weighted row of sample means, so
+    they are those of the materialised rows.  Weights that sum to 0, and a
+    row that is not finite, estimate or gradient, are a :class:`MarginsError`.
     """
     gradients = weights is None
+    if not gradients and not weights.sum() > 0:
+        raise MarginsError("the weights sum to 0: there are no rows to average over")
     X = plan.X
     if plan.atmeans:
         X, weights = _mean_row(X, plan.term_map, weights)[None, :], None
@@ -347,7 +350,7 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
         else:
             F, D = P, W
         est[blk] = (F.mean(axis=1) if weights is None
-                    else np.einsum("ji,i->j", F, weights) / n)
+                    else np.einsum("ji,i->j", F, weights) / weights.sum())
         if not gradients:
             return
         Gb = _matmul_tiles(X.T, D.T)

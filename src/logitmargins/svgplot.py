@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -51,11 +51,11 @@ class PlotSpec:
             raise PlotError("plot needs at least one series")
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round-number tick positions covering [lo, hi]."""
+def nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round-number tick positions covering [lo, hi], at most six of them."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(target - 1, 1)
+    raw = (hi - lo) / 5  # the step of six ticks; a round step is no smaller
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

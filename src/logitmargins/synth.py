@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dataset import Column, Dataset
 from .formula import build_design, parse_formula
+from .logit import expit
 
 DEFAULT_COEFFS = "table2_model3.json"
 
@@ -39,6 +40,8 @@ class ContinuousSpec:
     ``integer`` set, draws are rounded before clamping.  ``by_level``
     optionally shifts the mean per level of a factor (holding the
     coefficient of variation fixed), for corpora with correlated covariates.
+    Construction raises :class:`SynthError` unless lo <= hi (both finite for
+    ``uniform_int``) and a ``lognormal``'s sd and means are finite and positive.
     """
 
     family: str
@@ -52,9 +55,15 @@ class ContinuousSpec:
     def __post_init__(self):
         if self.family not in ("lognormal", "uniform_int"):
             raise SynthError(f"unknown family {self.family!r}")
-        for v in (self.mean, self.sd, self.lo, self.hi):
-            if v != v:  # NaN
-                raise SynthError("non-finite distribution parameter")
+        # a NaN bound is not ordered; uniform_int draws one of hi - lo + 1 integers
+        if not (self.lo <= self.hi and (self.family == "lognormal"
+                                        or np.isfinite(self.hi - self.lo))):
+            raise SynthError(f"{self.family} needs bounds lo <= hi, finite for uniform_int, "
+                             f"got lo={self.lo}, hi={self.hi}")
+        if self.family == "lognormal":
+            _lognormal_params(self.mean, self.sd)
+            for m in (self.by_level[1].values() if self.by_level else ()):
+                _lognormal_params(m, self.sd / self.mean * m)
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,11 @@ class SynthConfig:
     factors: dict[str, dict[str, float]]
     continuous: dict[str, ContinuousSpec]
     true_beta: dict[str, float]
-    name: str = field(default="synthetic", compare=False)
 
 
 def _lognormal_params(mean: float, sd: float) -> tuple[float, float]:
-    if mean <= 0 or sd <= 0:
-        raise SynthError(f"lognormal needs positive mean and sd, got {mean}, {sd}")
+    if not (0 < mean < np.inf and 0 < sd < np.inf):
+        raise SynthError(f"lognormal needs a finite, positive mean and sd, got {mean}, {sd}")
     sigma2 = np.log1p((sd * sd) / (mean * mean))
     mu = np.log(mean) - sigma2 / 2.0
     return mu, float(np.sqrt(sigma2))
@@ -99,11 +107,8 @@ def _validate(cfg: SynthConfig):
         if (vals < 0).any() or not np.isfinite(vals).all():
             raise SynthError(f"invalid probabilities for factor {var!r}")
         if abs(vals.sum() - 1.0) > 1e-9:
-            raise SynthError(f"probabilities for factor {var!r} sum to {vals.sum()!r},"
-                             " not 1")
-    for var, spec in cfg.continuous.items():
-        if not np.isfinite([spec.mean, spec.sd]).all() and spec.family == "lognormal":
-            raise SynthError(f"non-finite parameters for {var!r}")
+            raise SynthError(f"probabilities for factor {var!r} sum to "
+                             f"{float(vals.sum())!r}, not 1")
     for key, b in cfg.true_beta.items():
         if not np.isfinite(b):
             raise SynthError(f"non-finite coefficient for {key!r}")
@@ -164,7 +169,7 @@ def generate(cfg: SynthConfig) -> Dataset:
         columns.append(Column(var, "categorical", codes, levels))
     for var, vals in cont_cols.items():
         columns.append(Column(var, "continuous", vals))
-    shell = Dataset(name=cfg.name, columns=tuple(columns))
+    shell = Dataset(tuple(columns))
 
     design = build_design(shell, spec)
     labels = design.term_map.labels
@@ -174,12 +179,10 @@ def generate(cfg: SynthConfig) -> Dataset:
         raise SynthError(f"true_beta keys do not match the model: "
                          f"missing {missing}, unexpected {extra}")
     beta = np.array([cfg.true_beta[lb] for lb in labels], dtype=np.float64)
-    from scipy.special import expit  # scipy's, so corpora keep their bytes
     p = expit(design.X @ beta)
     y = (rng.random(n) < p).astype(np.float64)
 
-    final = [Column(spec.response, "binary", y)] + columns[1:]
-    return Dataset(name=cfg.name, columns=tuple(final))
+    return Dataset((Column(spec.response, "binary", y), *columns[1:]))
 
 
 def load_coefficients(path_or_name: str) -> tuple[str, dict[str, float]]:

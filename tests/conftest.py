@@ -63,7 +63,7 @@ def toy_dataset() -> lm.Dataset:
     y = [0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1]
     levels = ("a", "b", "c")
     codes = np.array([levels.index(v) for v in g], dtype=np.int64)
-    return lm.Dataset(name="toy", columns=(
+    return lm.Dataset((
         Column("y", "binary", np.array(y, dtype=np.float64)),
         Column("g", "categorical", codes, levels),
         Column("x", "continuous", np.array(x)),

@@ -283,7 +283,7 @@ def load_csv_rowwise(path, schema) -> Dataset:
         raise DataError(f"{path}: no rows left after listwise deletion")
     columns = tuple(_column_rowwise(spec, [r[j] for r in kept])
                     for j, spec in enumerate(specs))
-    return Dataset(name=str(path), columns=columns, n_dropped=n_dropped)
+    return Dataset(columns, n_dropped=n_dropped)
 
 
 def _column_rowwise(spec: ColumnSpec, tokens: list) -> Column:

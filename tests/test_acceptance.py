@@ -19,6 +19,7 @@ from scipy.special import expit
 
 import logitmargins as lm
 from logitmargins.formula import ColumnRole, TermMap, substitute_matrix
+from logitmargins.logit import log_likelihood, score_and_hessian
 from oracles import ToyModel, fd_gradient
 from conftest import (BOOT_SEED, CORPUS_SEED, kernel_gradient, margin_rows, plain_design,
                       plain_term_map, toy_dataset)
@@ -127,8 +128,8 @@ def test_c05_gradient_oracles(toy_fit):
     beta = rng.normal(scale=0.6, size=4)
     y = (rng.random(20) < expit(X @ beta)).astype(float)
 
-    score, H = lm.score_and_hessian(beta, X, y)
-    fd = fd_gradient(lambda b: lm.log_likelihood(b, X, y), beta, h=1e-6)
+    score, H = score_and_hessian(beta, X, y)
+    fd = fd_gradient(lambda b: log_likelihood(b, X, y), beta, h=1e-6)
     score_err = float(np.max(np.abs(score - fd)))
     ok_score = score_err < 1e-6
 
@@ -138,8 +139,8 @@ def test_c05_gradient_oracles(toy_fit):
         up, dn = beta.copy(), beta.copy()
         up[j] += h
         dn[j] -= h
-        col = (lm.score_and_hessian(up, X, y)[0]
-               - lm.score_and_hessian(dn, X, y)[0]) / (2 * h)
+        col = (score_and_hessian(up, X, y)[0]
+               - score_and_hessian(dn, X, y)[0]) / (2 * h)
         hess_err = max(hess_err, float(np.max(
             np.abs(col - H[:, j]) / np.maximum(np.abs(H[:, j]), 1.0))))
     ok_hess = hess_err < 1e-5

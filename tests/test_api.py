@@ -3,6 +3,7 @@
 Adding or removing a name or a flag changes one line here.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -20,11 +21,11 @@ PUBLIC = [
     "BootstrapResult", "ColumnSpec", "ContinuousSpec", "ConvergenceError", "DataError",
     "Dataset", "DesignMatrix", "FitError", "FitResult", "FitStats", "FormulaError",
     "MarginRequest", "MarginRow", "MarginsError", "ModelSpec", "RankDeficiencyError",
-    "SeparationError", "SummaryTable", "SynthConfig", "SynthError",
+    "SeparationError", "SynthConfig", "SynthError",
     "TermMap", "__version__", "bootstrap_se", "build_design", "compute_margins",
     "default_config", "fit", "fit_stats", "from_json", "generate",
-    "load_coefficients", "load_csv", "log_likelihood", "margins_tsv", "parse_formula",
-    "predict", "schema_of", "score_and_hessian", "sniff_schema", "summarize",
+    "load_coefficients", "load_csv", "margins_tsv", "parse_formula",
+    "predict", "schema_of", "sniff_schema", "summarize",
     "to_csv", "to_json", "zstar",
 ]
 
@@ -91,6 +92,25 @@ def test_margins_schema_is_a_usage_error(capsys):
                                        "--schema", "y:binary"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --schema" in capsys.readouterr().err
+
+
+# bench/tracer.py wraps margins.substitute_matrix, a binding margins never reads
+UNREAD_IMPORTS = {("margins", "substitute_matrix")}
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    for path in sorted(Path(lm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read.update(lm.__all__)
+        unread += [(path.stem, name) for name in bound
+                   if name not in read and (path.stem, name) not in UNREAD_IMPORTS]
+    assert unread == []
 
 
 def test_frozen_bench_hooks_resolve():

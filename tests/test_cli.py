@@ -144,6 +144,19 @@ def test_synth_refuses_a_corpus_beyond_the_machine_memory(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_a_fit_beyond_the_capped_memory_is_one_error_line(tmp_path):
+    # 400 levels give k = 400 and 80200 column products of 8000 rows, 4.8 GiB:
+    # the design (26 MB) is built, the products cannot be under the 2 GiB cap
+    rows = "".join(f"{(i // 400) % 2},l{i % 400}\n" for i in range(8000))
+    (tmp_path / "wide.csv").write_text("y,g\n" + rows)
+    r = run_cli("fit", "--data", str(tmp_path / "wide.csv"), "--model", "y ~ C(g)",
+                "--out", str(tmp_path / "m.json"), preexec_fn=cap_address_space)
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    line, = r.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate "), line
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_synth_then_summarize_matches_targets(workspace):
     r = run_cli("summarize", "--data", str(workspace / "s.csv"))
     assert r.returncode == 0

@@ -79,25 +79,24 @@ def test_declared_levels_pin_order_and_reject_unknown(tmp_path):
 
 
 def test_summarize_binary_percentage():
-    ds = lm.Dataset("b", (Column("y", "binary", np.array([1, 0, 0, 0, 1.0])),))
-    row = lm.summarize(ds).rows[0]
+    ds = lm.Dataset((Column("y", "binary", np.array([1, 0, 0, 0, 1.0])),))
+    row = lm.summarize(ds)[0]
     assert row.value == pytest.approx(40.0)
 
 
 def test_summarize_continuous_moments():
-    ds = lm.Dataset("c", (Column("x", "continuous", np.array([1.0, 2.0, 3.0])),))
-    row = lm.summarize(ds).rows[0]
+    ds = lm.Dataset((Column("x", "continuous", np.array([1.0, 2.0, 3.0])),))
+    row = lm.summarize(ds)[0]
     assert (row.value, row.sd, row.vmin, row.vmax) == (2.0, 1.0, 1.0, 3.0)
 
 
 def test_summarize_single_row_has_no_sd():
-    ds = lm.Dataset("c", (Column("x", "continuous", np.array([4.2])),))
-    assert lm.summarize(ds).rows[0].sd is None
+    ds = lm.Dataset((Column("x", "continuous", np.array([4.2])),))
+    assert lm.summarize(ds)[0].sd is None
 
 
 def test_categorical_percentages_sum_to_100(toy_ds):
-    table = lm.summarize(toy_ds)
-    shares = [r.value for r in table.rows if r.variable == "g"]
+    shares = [r.value for r in lm.summarize(toy_ds) if r.variable == "g"]
     assert sum(shares) == pytest.approx(100.0, abs=0.1)
 
 
@@ -105,9 +104,9 @@ def test_summarize_permutation_invariant(toy_ds, tmp_path):
     perm = np.random.default_rng(5).permutation(toy_ds.n_rows)
     cols = [Column(c.name, c.kind, c.values[perm].copy(), c.levels)
             for c in toy_ds.columns]
-    shuffled = lm.Dataset("toy", tuple(cols))
-    a = lm.summarize(toy_ds).rows
-    b = lm.summarize(shuffled).rows
+    shuffled = lm.Dataset(tuple(cols))
+    a = lm.summarize(toy_ds)
+    b = lm.summarize(shuffled)
     for ra, rb in zip(a, b):
         assert ra.variable == rb.variable and ra.level == rb.level
         assert ra.value == pytest.approx(rb.value, abs=1e-12)
@@ -116,7 +115,7 @@ def test_summarize_permutation_invariant(toy_ds, tmp_path):
 def test_csv_round_trip(toy_ds, tmp_path):
     p = tmp_path / "rt.csv"
     lm.to_csv(toy_ds, p)
-    back = lm.load_csv(p, lm.schema_of(toy_ds), name="toy")
+    back = lm.load_csv(p, lm.schema_of(toy_ds))
     assert back == toy_ds
 
 
@@ -144,7 +143,7 @@ def datasets(draw):
                       else st.floats(allow_nan=False, allow_infinity=False))
             cols.append(Column(f"c{j}", kind, np.array(
                 draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)))
-    return lm.Dataset("prop", tuple(cols))
+    return lm.Dataset(tuple(cols))
 
 
 @given(ds=datasets())
@@ -152,7 +151,7 @@ def test_csv_round_trip_any_dataset(ds):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rt.csv"
         lm.to_csv(ds, path)
-        assert lm.load_csv(path, lm.schema_of(ds), name="prop") == ds
+        assert lm.load_csv(path, lm.schema_of(ds)) == ds
 
 
 @pytest.mark.parametrize("kind, values, levels, message", [
@@ -171,6 +170,18 @@ def test_csv_round_trip_any_dataset(ds):
 def test_invalid_column_raises(kind, values, levels, message):
     with pytest.raises(DataError, match=message):
         Column("c", kind, np.array(values), levels)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ((Column("x", "continuous", np.ones(2)), Column("x", "binary", np.ones(2))),
+     "column names are not unique"),
+    ((Column("x", "continuous", np.ones(2)), Column("z", "continuous", np.ones(3))),
+     r"ragged columns: lengths \[2, 3\]"),
+    ((Column("x", "continuous", np.ones(0)),), "cannot summarize an empty dataset"),
+], ids=["duplicate-names", "ragged", "empty"])
+def test_an_invalid_dataset_or_summary_raises(columns, message):
+    with pytest.raises(DataError, match=message):
+        lm.summarize(lm.Dataset(columns))
 
 
 # cells that exercise padding, both missing tokens, quoting, float() syntax,

@@ -176,16 +176,38 @@ def test_build_design_errors(toy_ds):
     with pytest.raises(FormulaError, match="wrapped in C"):
         build_design(toy_ds, parse_formula("y ~ g"))
     # three declared levels, one observed: the check counts observed levels
-    single = lm.Dataset("single", (toy_ds.column("y"), toy_ds.column("x"),
-                                   Column("g", "categorical", np.zeros(16, np.int64),
-                                          ("a", "b", "c"))))
+    single = lm.Dataset((toy_ds.column("y"), toy_ds.column("x"),
+                         Column("g", "categorical", np.zeros(16, np.int64),
+                                ("a", "b", "c"))))
     with pytest.raises(FormulaError, match="fewer than 2"):
         build_design(single, parse_formula("y ~ C(g) + x"))
 
 
+def _with_binary_b(ds):
+    return lm.Dataset((ds.column("y"), Column("b", "binary", ds.column("y").values)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda ds: parse_formula("y ~ x z"), r"expected '\+' or end of formula at position 6"),
+    (lambda ds: build_design(ds, parse_formula("x ~ C(g)")),
+     "response 'x' must be a binary column"),
+    (lambda ds: build_design(ds, parse_formula("y ~ C(g)"), reference={"g": "zz"}),
+     "reference level 'zz' unknown for 'g'"),
+    (lambda ds: build_design(_with_binary_b(ds), parse_formula("y ~ b + b^2")),
+     "squared term needs a continuous column, got binary"),
+    (lambda ds: lm.TermMap(columns=(ColumnRole("x", IDENTITY),), reference={},
+                           factor_levels={}), "column 0 must be the intercept"),
+    (lambda ds: lm.DesignMatrix(X=np.ones((3, 2)), y=np.ones(2), term_map=build_design(
+        ds, parse_formula("y ~ x")).term_map), "design shapes disagree"),
+], ids=["syntax", "response", "reference", "square", "intercept", "shapes"])
+def test_a_malformed_formula_term_map_or_design_is_named(toy_ds, make, message):
+    with pytest.raises(FormulaError, match=message):
+        make(toy_ds)
+
+
 def test_overflowing_square_is_named():
-    ds = lm.Dataset("big", (Column("y", "binary", np.array([1.0, 0.0, 1.0])),
-                            Column("x", "continuous", np.array([1.0, 1e200, 2.0]))))
+    ds = lm.Dataset((Column("y", "binary", np.array([1.0, 0.0, 1.0])),
+                     Column("x", "continuous", np.array([1.0, 1e200, 2.0]))))
     # pyproject turns the overflow warning into an error, so this also checks
     # that the warning is silenced
     with pytest.raises(lm.DataError, match=r"squared term x\^2 overflows"):

@@ -272,6 +272,15 @@ def test_fit_stats_z_and_p(toy_fit):
     assert st.pseudo_r2 == pytest.approx(1 - fr.ll / fr.ll0, rel=1e-12)
 
 
+@pytest.mark.parametrize("diagonal", [0.0, -1.0])
+def test_fit_stats_refuse_a_degenerate_covariance(toy_fit, diagonal):
+    fr, _ = toy_fit
+    cov = np.array(fr.cov)
+    cov[2, 2] = diagonal
+    with pytest.raises(FitError, match="degenerate covariance: non-positive diagonal"):
+        fit_stats(dataclasses.replace(fr, cov=cov))
+
+
 def test_predict_basics(toy_fit):
     fr, design = toy_fit
     assert predict(lm.FitResult(beta=np.zeros(1), cov=np.eye(1), ll=0, ll0=0, n=1,
@@ -691,7 +700,7 @@ def test_constructors_store_readonly_copies(toy_fit, owner):
     fr, design = toy_fit
     if owner == "dataset":
         arrays = (np.array([0.5, 1.5, 2.5]),)
-        obj = lm.Dataset("d", (lm.dataset.Column("x", "continuous", arrays[0]),))
+        obj = lm.Dataset((lm.dataset.Column("x", "continuous", arrays[0]),))
         stored = (obj.column("x").values,)
     elif owner == "design":
         arrays = (np.array(design.X), np.array(design.y))

@@ -8,7 +8,8 @@ likelihood, and every draw is then usable.  A last property draws requests
 with any fields at all: each is rejected, or reads every field it sets.
 Another runs requests of more than 16 scenarios at several block widths,
 and one gives extreme coefficients, grids and covariances: each request is
-rejected with a MarginsError, or gives finite rows.
+rejected with a MarginsError, or gives finite rows.  One more evaluates
+every shape under integer row weights against the materialised rows.
 """
 
 import dataclasses
@@ -16,11 +17,13 @@ import itertools
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 import logitmargins as lm
 from logitmargins import margins
 from logitmargins.dataset import Column
+from logitmargins.logit import expit
 from logitmargins.margins import (MarginRequest, MarginsError, _compile, _evaluate,
                                   compute_margins)
 from oracles import ToyModel, fd_gradient
@@ -52,9 +55,8 @@ def toy_fit(n_levels: int, n: int, seed: int):
     x = rng.uniform(-2.0, 3.0, n)
     z = rng.normal(size=n)
     y = (rng.random(n) < 0.5).astype(np.float64)
-    ds = lm.Dataset("prop", (Column("y", "binary", y),
-                             Column("g", "categorical", codes, levels),
-                             Column("x", "continuous", x), Column("z", "continuous", z)))
+    ds = lm.Dataset((Column("y", "binary", y), Column("g", "categorical", codes, levels),
+                     Column("x", "continuous", x), Column("z", "continuous", z)))
     design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x + x^2 + z"))
     k = design.k
     beta = rng.normal(scale=0.8, size=k)
@@ -220,7 +222,12 @@ def test_estimates_do_not_depend_on_the_scenario_block(fit_case, shape, grid, da
     for width in (1, 5, 16):
         with patch.object(margins, "_BLOCK_COLUMNS", width):
             est, grad = _evaluate(plan, fr.beta)
-            weighted, _ = _evaluate(plan, fr.beta, weights=counts)
+            if counts.any():
+                weighted, _ = _evaluate(plan, fr.beta, weights=counts)
+            else:  # no row to average over, in any block
+                with pytest.raises(MarginsError, match="weights sum to 0"):
+                    _evaluate(plan, fr.beta, weights=counts)
+                weighted = np.empty(0)
             se = [row.se for row in compute_margins(fr, design, request)]
         results.append((est, weighted, grad, np.array(se)))
     est, weighted, grad, se = results[-1]
@@ -232,6 +239,56 @@ def test_estimates_do_not_depend_on_the_scenario_block(fit_case, shape, grid, da
         np.testing.assert_allclose(other[2], grad, rtol=1e-12,
                                    atol=1e-12 * np.abs(grad).max())
         np.testing.assert_allclose(other[3], se, rtol=1e-12, atol=1e-12 * se.max())
+
+
+def probe_fit():
+    """A fit of y ~ C(g) + x on 300 rows: weight 0 on the first 150 of them
+    gave AAPs of g exactly half the materialised ones, and wrong APMs, while
+    the weighted margins divided by n instead of the weights' total."""
+    rng = np.random.default_rng(0)
+    g = rng.integers(0, 3, 300)
+    x = rng.normal(size=300)
+    y = (rng.random(300) < expit(-0.3 + 0.8 * (g == 1) + 0.4 * (g == 2) + 0.5 * x))
+    ds = lm.Dataset((Column("y", "binary", y.astype(float)),
+                     Column("g", "categorical", g, ("a", "b", "c")),
+                     Column("x", "continuous", x)))
+    design = lm.build_design(ds, lm.parse_formula("y ~ C(g) + x"))
+    return lm.fit(design), design, None
+
+
+PROBE_WEIGHTS = (0,) * 150 + (1,) * 150
+
+
+def materialised(design: lm.DesignMatrix, counts: np.ndarray) -> lm.DesignMatrix:
+    """The design whose rows are those of ``design``, each ``counts`` times."""
+    return lm.DesignMatrix(X=np.repeat(design.X, counts, axis=0),
+                           y=np.repeat(design.y, counts), term_map=design.term_map)
+
+
+@example(probe_fit(), ("aap", "g", False), (0.0,), PROBE_WEIGHTS)
+@example(probe_fit(), ("apm", "g", False), (0.0,), PROBE_WEIGHTS)
+@given(toy_fits(), st.sampled_from(SHAPES), GRIDS,
+       st.lists(st.integers(0, 3), min_size=24, max_size=24))
+def test_weighted_margins_are_those_of_the_materialised_rows(fit_case, shape, grid, weights):
+    fr, design, _ = fit_case
+    kind, target, with_grid = shape
+    request = MarginRequest(kind, target, at=("x", grid) if with_grid else None)
+    counts = np.array(weights[:design.n], dtype=np.int64)
+    plan = _compile(design, request)
+    if not counts.any():
+        with pytest.raises(MarginsError, match="weights sum to 0"):
+            _evaluate(plan, fr.beta, weights=counts.astype(float))
+        return
+    got, _ = _evaluate(plan, fr.beta, weights=counts.astype(float))
+    want, _ = _evaluate(_compile(materialised(design, counts), request), fr.beta)
+    # both sides sum the same N terms, or take the same N-row column means,
+    # in another order, so each estimate is off by at most a few N eps of
+    # the size of its terms and linear predictors: |beta|_1 times the
+    # largest |x|, grid value (|v| <= 4) or square
+    N = int(counts.sum())
+    size = 1.0 + np.abs(fr.beta).sum() * max(np.abs(design.X).max(), 16.0)
+    bound = 4 * N * np.finfo(np.float64).eps * size
+    assert np.abs(got - want).max() <= bound, (got, want, bound)
 
 
 DEFAULTS = {"levels": None, "base": None, "at": None, "ci_level": 0.95, "discrete": False}

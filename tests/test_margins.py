@@ -141,6 +141,11 @@ def test_request_rejects_a_field_it_would_ignore(toy_fit, kind, target, fields):
         margin_rows(fr, design, kind, target, **fields)
 
 
+def test_an_unknown_margin_kind_is_an_error():
+    with pytest.raises(MarginsError, match="unknown margin kind 'amee'"):
+        lm.MarginRequest("amee", "g")
+
+
 def _flat_fit(design, cov_scale: float) -> lm.FitResult:
     # zero coefficients on everything except an intercept at logit(ybar)
     ybar = float(design.y.mean())
@@ -313,8 +318,8 @@ def test_apm_differs_from_aap_on_skewed_data():
     x = rng.normal(size=n)
     z = np.exp(rng.normal(0.0, 1.3, size=n)) * 2.0
     y = (rng.random(n) < expit(-2.5 + 0.3 * x + 0.8 * z)).astype(float)
-    ds = lm.Dataset("skew", (Column("y", "binary", y), Column("x", "continuous", x),
-                             Column("z", "continuous", z)))
+    ds = lm.Dataset((Column("y", "binary", y), Column("x", "continuous", x),
+                     Column("z", "continuous", z)))
     design = lm.build_design(ds, lm.parse_formula("y ~ x + z"))
     fr = lm.fit(design)
     v = 0.0
@@ -454,7 +459,7 @@ def test_bootstrap_se_of_constant_margin_is_binomial():
     n = 1500
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.3).astype(float)
-    ds = lm.Dataset("flat", (Column("y", "binary", y), Column("x", "continuous", x)))
+    ds = lm.Dataset((Column("y", "binary", y), Column("x", "continuous", x)))
     design = lm.build_design(ds, lm.parse_formula("y ~ x"))
     xbar = float(x.mean())
     res = bootstrap_se(design, lm.MarginRequest(kind="aap", target="x",
@@ -476,7 +481,7 @@ def test_bootstrap_failure_ceiling():
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
     y[:2] = (1.0, 0.0)
-    ds = lm.Dataset("rare", (
+    ds = lm.Dataset((
         Column("y", "binary", y),
         Column("g", "categorical", codes, ("common", "rare")),
         Column("x", "continuous", x)))
@@ -529,7 +534,7 @@ def test_bootstrap_skips_failed_replicates_under_the_ceiling():
     x = rng.normal(size=n)
     y = (rng.random(n) < 0.4).astype(float)
     y[:8] = (1.0, 0.0) * 4
-    ds = lm.Dataset("rare", (
+    ds = lm.Dataset((
         Column("y", "binary", y),
         Column("g", "categorical", codes, ("common", "rare")),
         Column("x", "continuous", x)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,38 @@ def test_invalid_probabilities_rejected():
         continuous=cfg.continuous, true_beta=cfg.true_beta)
     with pytest.raises(SynthError, match="invalid probabilities"):
         generate(bad)
+
+
+SMALL = default_config(50, 1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: lm.ContinuousSpec("gamma"), "unknown family 'gamma'"),
+    (lambda: lm.ContinuousSpec("uniform_int"),
+     "uniform_int needs bounds lo <= hi, finite for uniform_int, got lo=-inf, hi=inf"),
+    (lambda: lm.ContinuousSpec("uniform_int", lo=5, hi=1), "got lo=5, hi=1"),
+    (lambda: lm.ContinuousSpec("lognormal", mean=4.0, sd=1.0, lo=float("nan")),
+     "lognormal needs bounds lo <= hi, finite for uniform_int, got lo=nan"),
+    (lambda: lm.ContinuousSpec("lognormal", mean=0.0, sd=1.0), "finite, positive mean and sd"),
+    (lambda: lm.ContinuousSpec("lognormal", mean=4.0, sd=float("nan")),
+     "finite, positive mean and sd"),
+    (lambda: lm.ContinuousSpec("lognormal", mean=4.0, sd=1.0, by_level=("univ", {"univ1": 0.0})),
+     "finite, positive mean and sd"),
+    (lambda: generate(dataclasses.replace(SMALL, factors={
+        **SMALL.factors, "subject": {"engtech": 0.5, "medhealth": 0.4, "natsci": 0.0}})),
+     "probabilities for factor 'subject' sum to 0.9, not 1"),
+    (lambda: generate(dataclasses.replace(SMALL, continuous={
+        **SMALL.continuous,
+        "jif": lm.ContinuousSpec("lognormal", mean=4.5, sd=5.8, by_level=("nope", {}))})),
+     "by_level factor 'nope' is not a configured factor"),
+    (lambda: generate(dataclasses.replace(SMALL, true_beta={
+        **SMALL.true_beta, "jif": float("inf")})),
+     "non-finite coefficient for 'jif'"),
+], ids=["family", "unbounded-uniform", "reversed-bounds", "nan-bound", "zero-mean", "nan-sd",
+        "zero-level-mean", "probabilities", "by-level-factor", "coefficient"])
+def test_an_invalid_generator_setting_is_a_synth_error(make, message):
+    with pytest.raises(SynthError, match=message):
+        make()
 
 
 def test_true_beta_keys_must_match_model():
