@@ -14,7 +14,7 @@ from .formula import DesignMatrix, TermMap
 
 _TILE = 16  # the widest output tile of a product summed over the data rows
 _CHUNK = 8192  # the most data rows one call of such a product sums over
-_SEPARATION_BETA = 30.0
+_SEPARATION_SD = 30.0
 
 
 class FitError(RuntimeError):
@@ -299,13 +299,15 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     (:func:`_grams`): the Grams G under ``C`` and Gy under ``C*y``, and the
     negative Hessian of each evaluation after a step.  The Grams give each
     fit its totals (sum(c) is G[0, 0], sum(c*y) is Gy[0, 0]), its weighted
-    column means (G[0, :] / sum(c)) and its evaluation at beta = 0, where
-    every p is 1/2 and the negative Hessian is G/4.  A fit ends before
-    iterating on a rank deficiency (the rank check runs only on a fit
-    whose Gram :func:`_clears_rank` does not clear), else on
-    :func:`_separations`.  After each
-    evaluation, one verdict per fit takes the first that holds: a
-    standardized coefficient beyond 30 (:class:`SeparationError`);
+    column means mu = G[0, :] / sum(c) and covariance S = G / sum(c) - mu mu',
+    and its evaluation at beta = 0, where every p is 1/2 and the negative
+    Hessian is G/4.  A fit ends before iterating on a rank deficiency (the
+    rank check runs only on a fit whose Gram :func:`_clears_rank` does not
+    clear, or that weights a row whose column products overflow), else on
+    :func:`_separations`.  After each evaluation, one verdict per fit takes
+    the first that holds: a linear predictor X beta whose weighted standard
+    deviation sqrt(beta'S beta) exceeds 30, whatever the coding of the
+    columns (:class:`SeparationError`);
     ``max_iter`` iterations (:class:`ConvergenceError`); a negative Hessian
     without a Cholesky factor (:class:`FitError`); a Newton decrement below
     ``tol**2`` (a :class:`FitResult`); a non-finite step (:class:`FitError`).
@@ -322,8 +324,18 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
     Zt = _products(X)
     G, Gy = _grams(Zt, C), _grams(Zt, C * y)
+    overflowed = np.zeros(len(C), dtype=bool)
+    if not np.isfinite(G).all():
+        # a row whose products overflow makes every Gram NaN, weight 0 or not
+        # (0*inf): zero its products, and send each fit that weights it to the
+        # rank check, which fails it (sigma_min <= sqrt(sum(c)) along the
+        # intercept, sigma_max >= 1.3e154, the root of the largest double)
+        bad = ~np.isfinite(Zt).all(axis=0)
+        Zt[:, bad] = 0.0
+        G, Gy = _grams(Zt, C), _grams(Zt, C * y)
+        overflowed = (C[:, bad] != 0).any(axis=1)
     out = _separations(X, C, G, Gy, term_map)
-    for b in np.flatnonzero(~_clears_rank(G, n)):
+    for b in np.flatnonzero(~_clears_rank(G, n) | overflowed):
         try:
             _check_rank(X * np.sqrt(C[b])[:, None], term_map)
         except RankDeficiencyError as exc:
@@ -333,13 +345,9 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
         return out
     C, m = C[act], G[act, 0, 0]  # m: each fit's total weight; Gy[:, 0, 0] its weight at y = 1
     ll0 = m * [p * math.log(p) + (1.0 - p) * math.log(1.0 - p) for p in Gy[act, 0, 0] / m]
-    # weighted column sds from moments about the full-sample mean, near every weighted one
-    mean = X.mean(axis=0)
-    D = X - mean
-    shift = G[act, 0, :] / m[:, None] - mean  # the weighted column means, less that mean
-    col_var = _matmul_tiles(C, np.square(D, out=D)) / m[:, None] - shift * shift
-    col_sd = np.sqrt(np.maximum(col_var[:, 1:], 0.0))
-    col_scale = np.where(col_sd > 0, col_sd, 1.0)
+    # each fit's weighted column means and covariance; S's intercept row and column are 0
+    mu = G[act, 0, :] / m[:, None]
+    S = G[act] / m[:, None, None] - mu[:, :, None] * mu[:, None, :]
 
     # at beta = 0 every p is 1/2: the likelihood is m log(1/2), the score
     # (c(y - 1/2))'X and the negative Hessian X'diag(c/4)X, a quarter of G
@@ -349,15 +357,16 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     score, neg_h = _matmul_tiles((y - 0.5) * C, X), G[act] / 4.0
     iterations = 0
     while True:
-        quasi = (np.abs(beta[:, 1:]) * col_scale > _SEPARATION_BETA).any(axis=1)
+        # beta'S beta: the weighted variance of the linear predictor X beta
+        quasi = (beta[:, None] @ S @ beta[:, :, None])[:, 0, 0] > _SEPARATION_SD ** 2
         L, errors = _cholesky(neg_h)
         step = _cho_solve(L, score[:, :, None])[:, :, 0]
         # lambda^2 (NaN, with no warning, for a non-finite step) bounds |step_j| by lambda*se_j
         converged = np.einsum("ij,ij->i", score, step) < tol * tol
         for a, b in enumerate(act):
             if quasi[a]:
-                out[b] = SeparationError(
-                    "quasi-complete separation: a standardized coefficient exceeds 30")
+                out[b] = SeparationError("quasi-complete separation: the linear "
+                                         "predictor's standard deviation exceeds 30")
             elif iterations >= max_iter and not converged[a]:
                 out[b] = ConvergenceError(f"no convergence after {max_iter} iterations")
             elif errors[a] is not None:
@@ -372,8 +381,8 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
                 out[b] = FitError("non-finite coefficient vector")
         keep = np.array([out[b] is None for b in act], dtype=bool)
         if not keep.all():
-            act, C, m, col_scale, beta, ll, ll0, trace, step = (
-                v[keep] for v in (act, C, m, col_scale, beta, ll, ll0, trace, step))
+            act, C, m, S, beta, ll, ll0, trace, step = (
+                v[keep] for v in (act, C, m, S, beta, ll, ll0, trace, step))
         if not act.size:
             break
 
@@ -407,9 +416,10 @@ def fit(design: DesignMatrix, *, max_iter: int = 100, tol: float = 1e-10) -> Fit
     under ``tol`` standard errors in every coefficient, whatever the units.
     The covariance is the inverse negative Hessian there, from its Cholesky
     factor, never a pseudo-inverse.  Raises :class:`RankDeficiencyError`,
-    :class:`SeparationError`, :class:`ConvergenceError` or :class:`FitError`
-    in :func:`_newton`'s order of precedence instead of returning unusable
-    estimates.
+    :class:`SeparationError` (a separating pair of 0/1 columns, or a linear
+    predictor whose standard deviation passes 30), :class:`ConvergenceError`
+    or :class:`FitError` in :func:`_newton`'s order of precedence instead of
+    returning unusable estimates.
     """
     result, = _newton(design, max_iter=max_iter, tol=tol)
     if isinstance(result, Exception):

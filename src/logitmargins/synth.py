@@ -40,8 +40,9 @@ class ContinuousSpec:
     ``integer`` set, draws are rounded before clamping.  ``by_level``
     optionally shifts the mean per level of a factor (holding the
     coefficient of variation fixed), for corpora with correlated covariates.
-    Construction raises :class:`SynthError` unless lo <= hi (both finite for
-    ``uniform_int``) and a ``lognormal``'s sd and means are finite and positive.
+    Construction raises :class:`SynthError` unless lo <= hi (both finite
+    integers for ``uniform_int``) and a ``lognormal``'s sd and means are
+    finite and positive.
     """
 
     family: str
@@ -60,6 +61,9 @@ class ContinuousSpec:
                                         or np.isfinite(self.hi - self.lo))):
             raise SynthError(f"{self.family} needs bounds lo <= hi, finite for uniform_int, "
                              f"got lo={self.lo}, hi={self.hi}")
+        if self.family == "uniform_int" and not (float(self.lo).is_integer()
+                                                 and float(self.hi).is_integer()):
+            raise SynthError(f"uniform_int needs integer bounds, got lo={self.lo}, hi={self.hi}")
         if self.family == "lognormal":
             _lognormal_params(self.mean, self.sd)
             for m in (self.by_level[1].values() if self.by_level else ()):

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import logitmargins as lm
 from logitmargins.formula import ColumnRole
+from logitmargins.logit import expit
 from logitmargins.margins import MarginRequest, _compile, _evaluate, compute_margins
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -41,6 +42,17 @@ def plain_design(X, y) -> lm.DesignMatrix:
     """``X`` and ``y`` as a design whose first column is the intercept and
     whose others are plain columns x1, x2, ..."""
     return lm.DesignMatrix(X, y, plain_term_map(X.shape[1]))
+
+
+def year_probe(n: int):
+    """A 0/1 column x, a year uniform on 1980-2010 and a response whose
+    log-odds are -1 + 0.5 x + 0.004 (year - 1995)^2, drawn from
+    ``default_rng(0)``: raw year and year^2 lie far from 0 for their spread."""
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 2, n).astype(float)
+    year = rng.integers(1980, 2011, n).astype(float)
+    y = (rng.random(n) < expit(-1.0 + 0.5 * x + 0.004 * (year - 1995.0) ** 2)).astype(float)
+    return x, year, y
 
 
 def margin_rows(fr, design, kind: str, target: str, **fields) -> list:

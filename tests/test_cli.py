@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import logitmargins as lm
+from conftest import year_probe
 from logitmargins import cli
 
 MODEL3 = ("top10 ~ C(univ) + C(subject) + C(doctype) + jif + jif^2 + years "
@@ -771,6 +772,19 @@ def test_overflowing_column_products_are_one_rank_error_line(tmp_path):
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: design matrix is rank deficient; dependent columns: intercept"]
+
+
+def test_a_raw_year_and_its_square_fit(tmp_path):
+    # year in 1980-2010 and year^2 (sd near 3.6e4) exited 1 with "a
+    # standardized coefficient exceeds 30"; the separation check reads the
+    # spread of X beta, which the coding of year does not change
+    x, year, y = year_probe(2000)
+    rows = [f"{int(a)},{int(b)},{int(c)}" for a, b, c in zip(y, x, year)]
+    (tmp_path / "years.csv").write_text("y,x,year\n" + "\n".join(rows) + "\n")
+    r = run_cli("fit", "--data", str(tmp_path / "years.csv"), "--model",
+                "y ~ x + year + year^2", "--out", str(tmp_path / "m.json"))
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert json.loads((tmp_path / "m.json").read_text())["n"] == 2000
 
 
 # a numeric flag outside its range is rejected before any work is done

@@ -86,6 +86,8 @@ SMALL = default_config(50, 1)
     (lambda: lm.ContinuousSpec("uniform_int"),
      "uniform_int needs bounds lo <= hi, finite for uniform_int, got lo=-inf, hi=inf"),
     (lambda: lm.ContinuousSpec("uniform_int", lo=5, hi=1), "got lo=5, hi=1"),
+    (lambda: lm.ContinuousSpec("uniform_int", lo=0.5, hi=2.5),
+     "^uniform_int needs integer bounds, got lo=0.5, hi=2.5$"),
     (lambda: lm.ContinuousSpec("lognormal", mean=4.0, sd=1.0, lo=float("nan")),
      "lognormal needs bounds lo <= hi, finite for uniform_int, got lo=nan"),
     (lambda: lm.ContinuousSpec("lognormal", mean=0.0, sd=1.0), "finite, positive mean and sd"),
@@ -103,8 +105,9 @@ SMALL = default_config(50, 1)
     (lambda: generate(dataclasses.replace(SMALL, true_beta={
         **SMALL.true_beta, "jif": float("inf")})),
      "non-finite coefficient for 'jif'"),
-], ids=["family", "unbounded-uniform", "reversed-bounds", "nan-bound", "zero-mean", "nan-sd",
-        "zero-level-mean", "probabilities", "by-level-factor", "coefficient"])
+], ids=["family", "unbounded-uniform", "reversed-bounds", "fractional-bounds", "nan-bound",
+        "zero-mean", "nan-sd", "zero-level-mean", "probabilities", "by-level-factor",
+        "coefficient"])
 def test_an_invalid_generator_setting_is_a_synth_error(make, message):
     with pytest.raises(SynthError, match=message):
         make()
