@@ -9,8 +9,6 @@ from .logit import (ConvergenceError, FitError, FitResult, FitStats,
                     from_json, predict, to_json)
 from .margins import (BootstrapResult, MarginRequest, MarginRow, MarginsError,
                       bootstrap_se, compute_margins, margins_tsv, zstar)
-from .synth import (ContinuousSpec, SynthConfig, SynthError, default_config,
-                    generate, load_coefficients)
 
 __version__ = "0.1.0"
 
@@ -28,3 +26,15 @@ __all__ = [
     "generate", "load_coefficients",
     "__version__",
 ]
+
+
+# the generator's names, imported on first use: fit and margins never need it
+_SYNTH = ("ContinuousSpec", "SynthConfig", "SynthError", "default_config", "generate",
+          "load_coefficients")
+
+
+def __getattr__(name):
+    if name in _SYNTH:
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

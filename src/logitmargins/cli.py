@@ -16,7 +16,6 @@ import numpy as np
 from . import dataset as ds_mod
 from . import logit as logit_mod
 from . import margins as mg
-from . import synth as synth_mod
 from .dataset import ColumnSpec, DataError
 from .formula import INDICATOR, FormulaError, build_design, parse_formula
 from .svgplot import PlotSpec, Series, render
@@ -318,8 +317,10 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth as synth_mod  # the one command that needs the generator
     cfg = synth_mod.default_config(args.n, args.seed, correlated=args.correlated,
-                                   coeffs=args.coeffs)
+                                   coeffs=synth_mod.DEFAULT_COEFFS if args.coeffs is None
+                                   else args.coeffs)
     ds = synth_mod.generate(cfg)
     ds_mod.to_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows to {args.out}", file=sys.stderr)
@@ -377,13 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--coeffs", default=synth_mod.DEFAULT_COEFFS,
-                   help="coefficient JSON (path or bundled name)")
+    p.add_argument("--coeffs", help="coefficient JSON (path or bundled name; default: "
+                                    "the bundled model)")
     p.add_argument("--correlated", action="store_true",
                    help="shift journal-impact means per university")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
     return ap
+
+
+def _synth_errors() -> tuple:
+    # a SynthError can be raised only once synth is imported, and only synth
+    # and whoever reads lm.SynthError import it: fit and margins never do
+    synth_mod = sys.modules.get(f"{__package__}.synth")
+    return () if synth_mod is None else (synth_mod.SynthError,)
 
 
 def main(argv=None) -> int:
@@ -393,8 +401,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError,
-            synth_mod.SynthError, OSError, MemoryError) as exc:
+    except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError, OSError,
+            MemoryError, *_synth_errors()) as exc:
         _err(str(exc) or "out of memory")  # numpy's MemoryError names the array
         return 1
 

@@ -14,6 +14,7 @@ from .formula import DesignMatrix, TermMap
 
 _TILE = 16  # the widest output tile of a product summed over the data rows
 _CHUNK = 8192  # the most data rows one call of such a product sums over
+_ROWS = 8  # the most coefficient rows of one linear-predictor product
 _SEPARATION_SD = 30.0
 
 
@@ -157,6 +158,17 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for r in range(_CHUNK, a.shape[1], _CHUNK):
                 tile += a[i:i + _TILE, r:r + _CHUNK] @ b[r:r + _CHUNK, j:j + _TILE]
     return out
+
+
+def _linear_predictors(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X beta for each of the A rows beta of ``B``, as (A, n), in products of
+    at most 8 rows.  With 12 or 16 rows OpenBLAS gave other bits at 1 and 2
+    threads for most n from 3001 to 40001; with 8 it gave the same bits at
+    every n tried, 2001 to 100001 (see the README)."""
+    eta = np.empty((len(B), len(X)))
+    for i in range(0, len(B), _ROWS):
+        np.matmul(B[i:i + _ROWS], X.T, out=eta[i:i + _ROWS])
+    return eta
 
 
 def _products(X: np.ndarray) -> np.ndarray:
@@ -311,7 +323,9 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     ``max_iter`` iterations (:class:`ConvergenceError`); a negative Hessian
     without a Cholesky factor (:class:`FitError`); a Newton decrement below
     ``tol**2`` (a :class:`FitResult`); a non-finite step (:class:`FitError`).
-    A bad ``tol`` or ``max_iter``, or n <= k, raises for the whole block.
+    The covariances of the fits that converge at one evaluation come from one
+    solve, each bit for bit its own.  A bad ``tol`` or ``max_iter``, or
+    n <= k, raises for the whole block.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise FitError(f"tol must be finite and positive, got {tol}")
@@ -348,6 +362,7 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     # each fit's weighted column means and covariance; S's intercept row and column are 0
     mu = G[act, 0, :] / m[:, None]
     S = G[act] / m[:, None, None] - mu[:, :, None] * mu[:, None, :]
+    rms = np.sqrt(np.diagonal(G[act], axis1=1, axis2=2) / m[:, None])  # column root mean squares
 
     # at beta = 0 every p is 1/2: the likelihood is m log(1/2), the score
     # (c(y - 1/2))'X and the negative Hessian X'diag(c/4)X, a quarter of G
@@ -363,36 +378,47 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
         step = _cho_solve(L, score[:, :, None])[:, :, 0]
         # lambda^2 (NaN, with no warning, for a non-finite step) bounds |step_j| by lambda*se_j
         converged = np.einsum("ij,ij->i", score, step) < tol * tol
-        for a, b in enumerate(act):
+        failed = np.array([e is not None for e in errors])
+        over = ~converged & (iterations >= max_iter)
+        broken = ~np.isfinite(beta + step).all(axis=1)
+        done = converged & ~quasi & ~failed  # a converged fit is never over
+        if done.any():  # one solve gives the covariance of every fit that converged
+            cov = np.empty_like(neg_h)
+            cov[done] = _cho_solve(L[done], np.eye(k))
+        ended = quasi | over | failed | converged | broken
+        # each ended fit's verdict: the first that holds, in order of precedence
+        for a in np.flatnonzero(ended):
+            b = act[a]
             if quasi[a]:
                 out[b] = SeparationError("quasi-complete separation: the linear "
                                          "predictor's standard deviation exceeds 30")
-            elif iterations >= max_iter and not converged[a]:
+            elif over[a]:
                 out[b] = ConvergenceError(f"no convergence after {max_iter} iterations")
-            elif errors[a] is not None:
+            elif failed[a]:
                 out[b] = FitError("negative Hessian is not positive definite")
                 out[b].__cause__ = errors[a]
-            elif converged[a]:
-                cov = _cho_solve(L[a], np.eye(k))
-                out[b] = FitResult(beta=beta[a], cov=(cov + cov.T) / 2.0, ll=float(ll[a]),
+            elif done[a]:
+                out[b] = FitResult(beta=beta[a], cov=(cov[a] + cov[a].T) / 2.0, ll=float(ll[a]),
                                    ll0=float(ll0[a]), n=int(m[a]), iterations=iterations,
                                    term_map=term_map, ll_trace=tuple(trace[a]))
-            elif not np.isfinite(beta[a] + step[a]).all():
+            else:
                 out[b] = FitError("non-finite coefficient vector")
-        keep = np.array([out[b] is None for b in act], dtype=bool)
-        if not keep.all():
-            act, C, m, S, beta, ll, ll0, trace, step = (
-                v[keep] for v in (act, C, m, S, beta, ll, ll0, trace, step))
+        if ended.any():
+            act, C, m, S, rms, beta, ll, ll0, trace, step = (
+                v[~ended] for v in (act, C, m, S, rms, beta, ll, ll0, trace, step))
         if not act.size:
             break
 
-        # a computed decrease within fp resolution of ll is not a real decrease;
-        # rejecting it would freeze the final score-polishing steps
-        noise = 64.0 * np.finfo(np.float64).eps * (1.0 + np.abs(ll))
+        # a computed decrease within the rounding of ll is not a real decrease;
+        # rejecting it would freeze the final score-polishing steps.  ll sums
+        # c*(y*eta - softplus(eta)), and each eta = x'beta is rounded by about
+        # eps*sum_j |beta_j x_j|, which over the rows weighs sum(c)*sum_j |beta_j|*rms_j
+        noise = 64.0 * np.finfo(np.float64).eps * (
+            1.0 + np.abs(ll) + m * np.einsum("ij,ij->i", np.abs(beta), rms))
         scale = np.ones(act.size)  # the full step, then at most 60 halvings
         while True:
             cand = beta + step * scale[:, None]
-            eta = cand @ X.T
+            eta = _linear_predictors(cand, X)
             cand_ll = _log_likelihoods(eta, y, C)
             halve = (cand_ll < ll - noise) & (scale > 0.5 ** 60)
             if not halve.any():

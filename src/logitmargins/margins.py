@@ -21,16 +21,17 @@ gradient.  Effects at each row's observed value use a per-row shift override
 (``v = x_i + delta``), and at-means margins run the same code on the single
 row of sample means.
 
-Scenarios are evaluated in blocks of at most 16 and about ``BLOCK_BYTES``
-of float64, so memory stays flat however long the grid.  A block is stored
-scenario-major, S x n: each scenario's mean is a contiguous row sum, whose
-bits do not depend on the block the scenario falls in.  The gradient
+Scenarios are evaluated in blocks of at most 32, and bootstrap replicates
+in as many as fit, of about ``BLOCK_BYTES`` of float64 per array, so memory
+stays flat however long the grid.  A block is stored replicate- then
+scenario-major, A x S x n: each scenario's mean is a contiguous row sum,
+whose bits do not depend on the block the scenario falls in.  The gradient
 product ``X.T @ D.T`` reads the transposed block without a copy, through
 ``logit._matmul_tiles``, whose output tiles and row chunks keep its bits at
 any thread count.  A nonparametric bootstrap is available as a
-cross-check.  Its replicates are row weights, never resample copies, and
-each is evaluated by the same code under its weights: weighted row means,
-or the weighted row of sample means, and no gradients.
+cross-check.  Its replicates are row weights, never resample copies, and a
+block of them is one evaluation by the same code under their weights:
+weighted row means, or the weighted rows of sample means, and no gradients.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from .formula import substitute_matrix  # noqa: F401
 from .logit import FitError, FitResult, _matmul_tiles, _newton, expit, fit, two_sided_p
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
-BLOCK_BYTES = 2 << 20  # S x n float64 per block of scenarios
-# scenarios, or bootstrap replicates, per block; the replicates' linear
-# predictors are one B x n product, whose bits OpenBLAS keeps at any thread
-# count up to 16 rows
-_BLOCK_COLUMNS = 16
+BLOCK_BYTES = 2 << 20  # replicates x scenarios x n float64 per block of the kernel
+# scenarios per block of the kernel, and bootstrap replicates per Newton call
+# and per margin evaluation: Python and LAPACK overheads are paid per block
+_BLOCK_COLUMNS = 32
 
 
 class MarginsError(ValueError):
@@ -140,16 +140,17 @@ def _check_grid(grid: Sequence[float]):
 
 
 def _mean_row(arr: np.ndarray, term_map: TermMap, weights=None) -> np.ndarray:
-    # the row of sample means of arr, each row counted ``weights`` times if
-    # given: a factor's indicators become its level shares, and a squared
-    # column the square of its variable's mean, as a substitution sets it
+    # the row of sample means of arr, or with (A, n) ``weights`` the A rows
+    # of means that count each row of arr as often as a weight row says: a
+    # factor's indicators become its level shares, and a squared column the
+    # square of its variable's mean, as a substitution sets it
     row = (arr.mean(axis=0) if weights is None
-           else np.einsum("i,ij->j", weights, arr) / weights.sum())
+           else np.einsum("ai,ij->aj", weights, arr) / weights.sum(axis=1)[:, None])
     for j, c in enumerate(term_map.columns):
         if c.transform == SQUARE:
-            m = row[term_map.linear_col(c.source)]
-            row[j] = m * m
-    row[0] = 1.0
+            m = row[..., term_map.linear_col(c.source)]
+            row[..., j] = m * m
+    row[..., 0] = 1.0
     return row
 
 
@@ -292,9 +293,10 @@ def _compile(design: DesignMatrix, request: MarginRequest) -> _Plan:
 
 # --- the counterfactual kernel ----------------------------------------------
 
-def _avg(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # row means of A * z for a per-element (S, n) or per-scenario (S, 1) z
-    return (A * z).mean(axis=1) if z.shape[1] > 1 else z[:, 0] * A.mean(axis=1)
+def _avg(A: np.ndarray, A_mean: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # row means of A * z for a per-element (..., S, n) or per-scenario
+    # (..., S, 1) z, given A's row means
+    return (A * z).mean(axis=-1) if z.shape[-1] > 1 else z[..., 0] * A_mean
 
 
 def _row_name(plan: _Plan, r: int) -> str:
@@ -306,77 +308,97 @@ def _row_name(plan: _Plan, r: int) -> str:
 # finiteness check at the end reports as an error
 @np.errstate(all="ignore")
 def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
-    """Row estimates ``L@est`` and, without ``weights``, their (k, R) gradients.
+    """Row estimates ``L@est`` of each of the A rows of the (A, k)
+    coefficients ``beta``, as (A, R), and without ``weights`` their
+    gradients, as (A, k, R).  A vector ``beta`` is the A = 1 case with that
+    axis dropped: the delta method's (R,) estimates and (k, R) gradients.
 
-    ``weights`` counts how often each design row enters, as in a bootstrap
-    resample: the estimates average over the weighted rows, dividing by the
-    weights' total, or at-means over the weighted row of sample means, so
-    they are those of the materialised rows.  Weights that sum to 0, and a
-    row that is not finite, estimate or gradient, are a :class:`MarginsError`.
+    Row a of the (A, n) ``weights`` counts how often each design row enters
+    evaluation a, as in a bootstrap resample: its estimates average over the
+    weighted rows, dividing by the weights' total, or at-means over the
+    weighted row of sample means, so they are those of the materialised
+    rows.  Each row's values are bit for bit those of its own call (A = 1).
+    A weight row that sums to 0, and a row that is not finite, estimate or
+    gradient, are a :class:`MarginsError`.
     """
+    B = np.atleast_2d(beta)
+    weights = None if weights is None else np.atleast_2d(weights)
     gradients = weights is None
-    if not gradients and not weights.sum() > 0:
-        raise MarginsError("the weights sum to 0: there are no rows to average over")
+    if not gradients:
+        total = weights.sum(axis=1)
+        if not (total > 0).all():
+            raise MarginsError("the weights sum to 0: there are no rows to average over")
     X = plan.X
-    if plan.atmeans:
-        X, weights = _mean_row(X, plan.term_map, weights)[None, :], None
-    n, k = X.shape
-    kept = beta.copy()  # the overridden columns add an exact +0.0 to the offset
-    kept[[*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]] = 0.0
-    r = X @ kept
-    b_lin = beta[plan.lin] if plan.lin is not None else 0.0
-    b_sq = beta[plan.sq] if plan.sq is not None else 0.0
-    fixed = plan.fvals @ beta[plan.fcols]
-    own = X[:, plan.lin] if plan.shift else 0.0
+    if plan.atmeans:  # one row of means, or one per weight row: (1, k) or (A, 1, k)
+        X, weights = _mean_row(X, plan.term_map, weights)[..., None, :], None
+    A, (n, k) = len(B), X.shape[-2:]
+    kept = B.copy()  # the overridden columns add an exact +0.0 to the offset
+    kept[:, [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]] = 0.0
+    r = np.matmul(X, kept[:, :, None])[..., 0]  # (A, n): one X @ b0 per row
+    zero = np.zeros((A, 1, 1))
+    b_lin = zero if plan.lin is None else B[:, plan.lin, None, None]
+    b_sq = zero if plan.sq is None else B[:, plan.sq, None, None]
+    fixed = np.matmul(plan.fvals, B[:, plan.fcols, None])[..., 0]  # (A, S)
+    # each row's own value: (1, n), or (A, 1, 1) at the A weighted rows of means
+    own = X[..., None, :, plan.lin] if plan.shift else np.zeros((1, 1))
     S = len(plan.values)
-    est = np.empty(S)
-    G = np.empty((k, S))
+    est = np.empty((A, S))
+    G = np.empty((A, k, S)) if gradients else None
 
-    # a function per block, so that a block's S x n arrays are freed before
-    # the next block allocates its own; scenarios are rows, so each
-    # per-scenario mean is a contiguous row sum
-    def block(blk: slice):
-        u = plan.values[blk, None] + own
-        eta = r + (fixed[blk, None] + b_lin * u + b_sq * (u * u))
+    # a function per block, so that a block's arrays are freed before the
+    # next block allocates its own; a block is replicates x scenarios x rows,
+    # so each per-scenario mean is a contiguous row sum
+    def block(ab: slice, sb: slice):
+        u = plan.values[sb, None] + (own[ab] if own.ndim == 3 else own)
+        eta = r[ab, None] + (fixed[ab, sb, None] + b_lin[ab] * u + b_sq[ab] * (u * u))
         P = expit(eta, out=eta)
-        W = 1.0 - P
-        W *= P
-        if plan.slope:
-            F = W * (b_lin + 2.0 * b_sq * u)
-            D = P  # (1 - 2p) * F, in place of p
-            D *= -2.0
-            D += 1.0
-            D *= F
+        if not (plan.slope or gradients):  # a bootstrap of predictions reads p alone
+            F = P
         else:
-            F, D = P, W
-        est[blk] = (F.mean(axis=1) if weights is None
-                    else np.einsum("ji,i->j", F, weights) / weights.sum())
+            W = 1.0 - P
+            W *= P
+            if plan.slope:
+                F = W * (b_lin[ab] + 2.0 * b_sq[ab] * u)
+                D = P  # (1 - 2p) * F, in place of p
+                D *= -2.0
+                D += 1.0
+                D *= F
+            else:
+                F, D = P, W
+        est[ab, sb] = (F.mean(axis=-1) if weights is None
+                       else np.einsum("asi,ai->as", F, weights[ab]) / total[ab, None])
         if not gradients:
             return
-        Gb = _matmul_tiles(X.T, D.T)
+        D_mean = D.mean(axis=-1)  # (a, s): each mean is computed once
+        W_mean = W.mean(axis=-1) if plan.slope else None
+        Gb = np.stack([_matmul_tiles(X.T, Da.T) for Da in D])  # (a, k, s)
         Gb /= n
-        Gb[plan.fcols] = plan.fvals[blk].T * D.mean(axis=1)
+        Gb[:, plan.fcols] = plan.fvals[sb].T * D_mean[:, None]
         if plan.lin is not None:
-            Gb[plan.lin] = _avg(D, u)
+            Gb[:, plan.lin] = _avg(D, D_mean, u)
             if plan.slope:
-                Gb[plan.lin] += W.mean(axis=1)
+                Gb[:, plan.lin] += W_mean
         if plan.sq is not None:
-            Gb[plan.sq] = _avg(D, u * u)
+            Gb[:, plan.sq] = _avg(D, D_mean, u * u)
             if plan.slope:
-                Gb[plan.sq] += 2.0 * _avg(W, u)
-        G[:, blk] = Gb
+                Gb[:, plan.sq] += 2.0 * _avg(W, W_mean, u)
+        G[ab, :, sb] = Gb
 
-    step = max(1, min(_BLOCK_COLUMNS, BLOCK_BYTES // (8 * n)))
-    for s0 in range(0, S, step):
-        block(slice(s0, s0 + step))
-    rows = plan.L @ est
+    step = max(1, min(_BLOCK_COLUMNS, BLOCK_BYTES // (8 * n)))  # scenarios per block
+    per = max(1, BLOCK_BYTES // (8 * n * min(step, S)))  # replicates per block
+    for a0 in range(0, A, per):
+        for s0 in range(0, S, step):
+            block(slice(a0, a0 + per), slice(s0, s0 + step))
+    rows = np.matmul(plan.L, est[:, :, None])[..., 0]
     grad = G @ plan.L.T if gradients else None
     bad = ~np.isfinite(rows)
     if gradients:
-        bad |= ~np.isfinite(grad).all(axis=0)
+        bad |= ~np.isfinite(grad).all(axis=1)
     if bad.any():
-        raise MarginsError(f"margin row {_row_name(plan, int(np.argmax(bad)))} is not "
-                           "finite: the coefficients or grid values are too large")
+        raise MarginsError(f"margin row {_row_name(plan, int(np.argmax(bad.any(axis=0))))} "
+                           "is not finite: the coefficients or grid values are too large")
+    if beta.ndim == 1:
+        return rows[0], None if grad is None else grad[0]
     return rows, grad
 
 
@@ -439,9 +461,11 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     ``default_rng(child_b).integers(0, n, size=n)`` over
     ``SeedSequence(seed).spawn(reps)``, in spawn order.  No resample is
     copied: replicate b is the design under the weights
-    ``bincount(idx_b, minlength=n)``, refit in blocks of 16 replicates by the
-    weighted Newton core, and its margins are evaluated under those weights
-    (weighted row means, or the weighted row of sample means).
+    ``bincount(idx_b, minlength=n)``.  The replicates go in blocks of 32: a
+    block's weight rows are one ``bincount``, its refits one call of the
+    weighted Newton core, and the margins of the refits that succeed one
+    evaluation under their weights (weighted row means, or the weighted
+    rows of sample means), each replicate's values those of its own call.
     The request is compiled against the design before any fit.  Replicates
     whose refit raises :class:`FitError` are counted and skipped; more than
     10% failures is an error.  ``workers`` is accepted for compatibility and
@@ -458,15 +482,16 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     kept = []
     for b0 in range(0, reps, _BLOCK_COLUMNS):
         block = children[b0:b0 + _BLOCK_COLUMNS]
-        C = np.empty((len(block), n))
-        for b, child in enumerate(block):
-            idx = np.random.default_rng(child).integers(0, n, size=n)
-            C[b] = np.bincount(idx, minlength=n)
-        for c, fr in zip(C, _newton(design, C)):
-            if not isinstance(fr, FitError):
-                kept.append(_evaluate(plan, fr.beta, weights=c)[0])
+        # replicate b's draws, offset by b*n: one bincount counts every row
+        C = np.bincount(np.concatenate([np.random.default_rng(child).integers(0, n, size=n) + b * n
+                                        for b, child in enumerate(block)]),
+                        minlength=len(block) * n).reshape(-1, n).astype(np.float64)
+        fits = _newton(design, C)
+        ok = [b for b, fr in enumerate(fits) if not isinstance(fr, FitError)]
+        if ok:
+            kept.append(_evaluate(plan, np.array([fits[b].beta for b in ok]), C[ok])[0])
 
-    failures = reps - len(kept)
+    failures = reps - sum(map(len, kept))
     if failures > 0.10 * reps:
         raise MarginsError(f"{failures}/{reps} bootstrap replicates failed to fit")
     ses = np.vstack(kept).std(axis=0, ddof=1)

@@ -127,6 +127,19 @@ def test_outputs_of_a_long_design_do_not_depend_on_the_blas_thread_count(tmp_pat
     assert outputs[0] == outputs[1]
 
 
+def test_a_bootstrap_of_the_paper_corpus_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # n = 15426: with 12 or 16 coefficient rows, one product of a Newton
+    # block's linear predictors gave other bits at 1 and 2 threads, and so
+    # did the bootstrap table; in products of at most 8 rows it does not
+    data = tmp_path / "paper.csv"
+    r = run_cli("synth", "--n", "15426", "--seed", "7", "--out", str(data))
+    assert r.returncode == 0, r.stderr
+    outputs = outputs_at_1_and_2_threads(
+        tmp_path, str(data), ["--model", MODEL3],
+        {"boot": ["--aap", "C(univ)", "--vce", "bootstrap", "--reps", "100", "--seed", "21"]})
+    assert outputs[0] == outputs[1]
+
+
 def test_synth_rejects_zero_rows(tmp_path):
     r = run_cli("synth", "--n", "0", "--seed", "1", "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 1
@@ -864,14 +877,15 @@ def test_fit_and_margins_never_import_scipy(workspace, tmp_path):
     # only the synth generator and the naming of dependent columns use scipy.
     # scipy.optimize serves only the tests' separation oracle: a separated
     # fit stays without it too.  numpy.ma (about 13 ms of import) has no user
-    # either
+    # either, and the synth generator itself is imported only by `synth`
     (tmp_path / "sep.csv").write_text("y,g\n" + "1,a\n0,a\n1,b\n1,b\n1,b\n")
     script = f"""
 import sys
 import logitmargins
 from logitmargins import cli
 def heavy(m):
-    return m in ("scipy", "numpy.ma") or m.startswith(("scipy.", "numpy.ma."))
+    return (m in ("scipy", "numpy.ma", "logitmargins.synth")
+            or m.startswith(("scipy.", "numpy.ma.")))
 loaded = [m for m in sys.modules if heavy(m)]
 assert not loaded, ("after import", loaded)
 assert cli.main(["fit", "--data", {str(workspace / "s.csv")!r}, "--model", {MODEL3!r},

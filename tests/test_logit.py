@@ -355,6 +355,53 @@ def test_one_score_hessian_evaluation_per_iteration(name, request, monkeypatch):
     assert len(products) == 4 + 2 * fr.iterations
 
 
+def test_a_newton_block_solves_the_covariances_of_an_evaluation_at_once(monkeypatch):
+    # every fit that converges at an evaluation gets its covariance from one
+    # solve with the others: a block makes its steps' solve and at most one
+    # covariance solve per evaluation, however many of its fits converge
+    X, y, _ = random_problem(9, n=300, k=5)
+    rng = np.random.default_rng(4)
+    C = np.vstack([np.ones(300)] * 8 + [np.bincount(rng.integers(0, 300, 300), minlength=300)
+                                        for _ in range(24)])
+    solves, evaluations = [], [1]  # the evaluation at beta = 0 is read from the Grams
+    solve = logit_mod._cho_solve
+
+    def counted_solve(chol, b):
+        solves.append(len(chol))
+        return solve(chol, b)
+
+    def counted_evaluation(*args):
+        evaluations.append(1)
+        return _score_hessians(*args)
+
+    monkeypatch.setattr("logitmargins.logit._cho_solve", counted_solve)
+    monkeypatch.setattr("logitmargins.logit._score_hessians", counted_evaluation)
+    fits = _newton(plain_design(X, y), C)
+    assert all(isinstance(f, lm.FitResult) for f in fits)
+    assert len(solves) <= 2 * len(evaluations) < len(fits)
+
+
+def test_a_bootstrap_makes_one_newton_call_and_one_evaluation_per_block(corpus2k,
+                                                                        monkeypatch):
+    # 200 replicates are 7 blocks of at most 32, and the full-sample fit and
+    # its margins are one call of each more
+    from logitmargins import margins
+    _, design = corpus2k
+    calls = {"_newton": 0, "_evaluate": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((logit_mod, "_newton"), (margins, "_newton"), (margins, "_evaluate")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    got = lm.bootstrap_se(design, lm.MarginRequest("ame", "univ"), reps=200, seed=BOOT_SEED)
+    assert got.failures == 0
+    assert calls == {"_newton": 8, "_evaluate": 8}
+
+
 @st.composite
 def resample_blocks(draw):
     """A small design (intercept, a factor level held by 1-5 rows, a binary
@@ -641,10 +688,10 @@ RAW_YEAR = (_x, _year - 1995.0, _y, True, 1995.0)
 def test_a_recoded_covariate_never_causes_a_separation_error(case):
     # shifting z (and so z^2) codes the same model: the intercept and the z
     # terms absorb the shift, and the separation verdict reads the spread of
-    # X beta, which the shift leaves alone.  The shifted fit may still end in
-    # a ConvergenceError: with z^2, the rounding of X beta can pass the line
-    # search's noise threshold, which then halves correct steps away (an open
-    # defect, not a verdict on separation).  Where both fit, the coefficients
+    # X beta, which the shift leaves alone.  Nor does the shift stall the
+    # line search: its noise threshold covers the rounding of X beta, whose
+    # terms beta_j*x_j grow with the shift and cancel.  So whenever the
+    # unshifted fit converges, the shifted one does too, and the coefficients
     # the shift leaves alone (b's, and z^2's) agree within 1e-8 of their
     # standard errors: each fit stops within tol = 1e-10 se of its MLE, and
     # the shifted design's rounding added at most 2e-10 se over 900 seeded
@@ -654,10 +701,7 @@ def test_a_recoded_covariate_never_causes_a_separation_error(case):
         want = fit(_coded(b, z, y, square))
     except FitError:
         return
-    try:
-        got = fit(_coded(b, z + shift, y, square))
-    except ConvergenceError:
-        return
+    got = fit(_coded(b, z + shift, y, square))
     same = [1, 3] if square else [1]
     se = np.sqrt(np.diag(want.cov))[same]
     assert (np.abs(got.beta[same] - want.beta[same]) <= 1e-8 * se).all()

@@ -367,3 +367,33 @@ def test_a_margin_is_an_error_or_finite(fit_case, shape, grid, scale, shrink, se
     for row in rows:
         assert np.isfinite([row.estimate, row.se, row.p, row.ci_low, row.ci_high]).all(), row
         assert not np.isnan(row.z), row
+
+
+# a batch of every shape, long grids included: each replicate of a block
+# gets the values of its own call, whatever block of replicates and
+# scenarios it falls in
+BATCH_SHAPES = SHAPES + tuple((kind, target, True) for kind, target in LONG_GRID_SHAPES)
+
+
+@given(toy_fits(), st.sampled_from(BATCH_SHAPES),
+       st.lists(st.sampled_from(GRID_POINTS), min_size=1, max_size=15, unique=True),
+       st.integers(1, 40), st.sampled_from((1 << 10, 1 << 13, margins.BLOCK_BYTES)),
+       st.integers(0, 2**32 - 1))
+def test_a_batched_evaluation_equals_its_rows(fit_case, shape, grid, A, block_bytes, seed):
+    fr, design, _ = fit_case
+    kind, target, with_grid = shape
+    request = MarginRequest(kind, target, at=("x", tuple(sorted(grid))) if with_grid else None)
+    plan = _compile(design, request)
+    rng = np.random.default_rng(seed)
+    B = fr.beta + rng.normal(scale=0.3, size=(A, design.k))
+    W = np.vstack([np.bincount(rng.integers(0, design.n, design.n), minlength=design.n)
+                   for _ in range(A)]).astype(float)
+    with patch.object(margins, "BLOCK_BYTES", block_bytes):
+        weighted, none = _evaluate(plan, B, W)
+        est, grad = _evaluate(plan, B)
+        for a in range(A):
+            row, _ = _evaluate(plan, B[a:a + 1], W[a:a + 1])
+            assert np.array_equal(weighted[a:a + 1], row)
+            row, row_grad = _evaluate(plan, B[a:a + 1])
+            assert np.array_equal(est[a:a + 1], row) and np.array_equal(grad[a:a + 1], row_grad)
+    assert none is None and weighted.shape == est.shape == (A, len(plan.labels))

@@ -287,6 +287,26 @@ def test_aprv_memory_stays_blocked(corpus15k_fit):
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_a_bootstrap_of_a_long_aprv_grid_stays_blocked(corpus2k):
+    # 108 scenarios over 2000 rows for each of a block's 32 replicates: in
+    # one piece, each replicates x scenarios x rows array would take 55 MB,
+    # and in blocks of 32 scenarios for all 32 replicates at once the
+    # bootstrap reached 17.7 MiB of tracemalloc (5.1 MiB as blocked)
+    fr, design = corpus2k
+    grid = tuple(0.5 * i for i in range(27))
+    request = lm.MarginRequest("aprv", "univ", at=("jif", grid))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = bootstrap_se(design, request, reps=200, seed=BOOT_SEED)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(got.rows) == 108
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 # --- at-means specifics ------------------------------------------------------
 
 def test_mean_row_uses_fractional_indicators(toy_fit, toy_ds):
@@ -581,8 +601,8 @@ def test_bootstrap_follows_documented_resample_stream(corpus2k, monkeypatch, req
         resample = lm.DesignMatrix(design.X[idx], design.y[idx], design.term_map)
         rf = lm.fit(resample)
         est.append(_evaluate(_compile(resample, req), rf.beta)[0])
-    # the refits see the replicates' row counts in spawn order, 16 at a time
-    assert [len(b) for b in blocks] == [16] * 6 + [4]
+    # the refits see the replicates' row counts in spawn order, 32 at a time
+    assert [len(b) for b in blocks] == [32] * 3 + [4]
     assert np.array_equal(np.vstack(blocks), np.vstack(counts))
     assert got.failures == 0 and got.replicates == 100
     np.testing.assert_allclose([r.se for r in got.rows], np.std(est, axis=0, ddof=1),
