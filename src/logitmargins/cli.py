@@ -272,14 +272,14 @@ def cmd_margins(args) -> int:
     if design.term_map != fr.term_map:
         raise FormulaError(f"the term map in {args.model} does not match its formula")
     rows = []
-    for req in requests:
-        if args.vce == "bootstrap":
-            res = mg.bootstrap_se(design, req, args.reps, args.seed)
+    if args.vce == "bootstrap":  # the requests share one resample and refit loop
+        for res in mg._bootstrap(design, requests, args.reps, args.seed):
             rows.extend(res.rows)
             if res.failures:
                 print(f"note: {res.failures}/{res.replicates} bootstrap "
                       "replicates failed and were skipped", file=sys.stderr)
-        else:
+    else:
+        for req in requests:
             rows.extend(mg.compute_margins(fr, design, req))
 
     flagged = [r for r in rows if r.extrapolated]

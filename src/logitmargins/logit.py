@@ -160,14 +160,18 @@ def _matmul_tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linear_predictors(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _linear_predictors(B: np.ndarray, X: np.ndarray, rows: int = _ROWS) -> np.ndarray:
     """X beta for each of the A rows beta of ``B``, as (A, n), in products of
-    at most 8 rows.  With 12 or 16 rows OpenBLAS gave other bits at 1 and 2
-    threads for most n from 3001 to 40001; with 8 it gave the same bits at
-    every n tried, 2001 to 100001 (see the README)."""
+    at most ``rows`` <= 8 coefficient rows by at most 8192 data rows.  With
+    12 or 16 coefficient rows OpenBLAS gave other bits at 1 and 2 threads for
+    most n from 3001 to 40001, and so did one row over 40001 data rows; each
+    piece gave the same bits at every n tried, 2001 to 100001, and the
+    pieces the bits of the whole product at 1 thread (see the README).  With
+    ``rows=1`` each row's bits are those of its own call."""
     eta = np.empty((len(B), len(X)))
-    for i in range(0, len(B), _ROWS):
-        np.matmul(B[i:i + _ROWS], X.T, out=eta[i:i + _ROWS])
+    for i in range(0, len(B), rows):
+        for j in range(0, len(X), _CHUNK):
+            np.matmul(B[i:i + rows], X[j:j + _CHUNK].T, out=eta[i:i + rows, j:j + _CHUNK])
     return eta
 
 

@@ -7,8 +7,11 @@ a factor's indicators take the 0/1 pattern of one level, and a continuous
 variable's column takes a value v while its linked square takes v*v, by
 construction.  With the offset ``r = X@b0`` computed once, where ``b0`` is
 ``b`` with its entries ``C`` set to 0 (so no term is subtracted, and none
-cancels), the scenarios' linear predictors are ``r + V@b[C]``; the mean of
-``expit`` over rows is each scenario's estimate.  Output rows are ``L@est``:
+cancels), the scenarios' linear predictors are ``r + c`` with ``c = V@b[C]``;
+the row mean of ``expit(r + c) = exp(c) / (exp(c) + exp(-r))`` is each
+scenario's estimate, from one exponential per row and one per scenario
+(``_evaluate`` keeps ``expit`` where a factor could overflow, and for the
+per-row overrides below).  Output rows are ``L@est``:
 an AAP, APM or APRV row is one scenario, an AME, MEM or MERV row the
 difference of two.
 
@@ -25,11 +28,14 @@ Scenarios are evaluated in blocks of at most 32, and bootstrap replicates
 in as many as fit, of about ``BLOCK_BYTES`` of float64 per array, so memory
 stays flat however long the grid.  A block is stored replicate- then
 scenario-major, A x S x n: each scenario's mean is a contiguous row sum,
-whose bits do not depend on the block the scenario falls in.  The gradient
-product ``X.T @ D.T`` reads the transposed block without a copy, through
-``logit._matmul_tiles``, whose output tiles and row chunks keep its bits at
-any thread count.  A nonparametric bootstrap is available as a
-cross-check.  Its replicates are row weights, never resample copies, and a
+whose bits do not depend on the block the scenario falls in (its
+gradient's can, by the last digit: the tile of the product that holds it
+does).  The offsets are one product per row of ``b0``, in pieces of 8192
+data rows, so a row's bits are those of its own call at any thread count.
+The gradient product ``X.T @ D.T`` reads the transposed block without a
+copy, through ``logit._matmul_tiles``, whose output tiles and row chunks
+keep its bits at any thread count.  A nonparametric bootstrap is
+available as a cross-check.  Its replicates are row weights, never resample copies, and a
 block of them is one evaluation by the same code under their weights:
 weighted row means, or the weighted rows of sample means, and no gradients.
 """
@@ -47,10 +53,12 @@ import numpy as np
 from .formula import SQUARE, DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
-from .logit import FitError, FitResult, _matmul_tiles, _newton, expit, fit, two_sided_p
+from .logit import (FitError, FitResult, _linear_predictors, _matmul_tiles, _newton, expit, fit,
+                    two_sided_p)
 
 Z95 = 1.959964  # fixed critical value for 95% intervals
 BLOCK_BYTES = 2 << 20  # replicates x scenarios x n float64 per block of the kernel
+_FACTORED = 708.0  # the largest |r| and |c| whose factors exp(-r) and exp(c) are taken
 # scenarios per block of the kernel, and bootstrap replicates per Newton call
 # and per margin evaluation: Python and LAPACK overheads are paid per block
 _BLOCK_COLUMNS = 32
@@ -320,6 +328,16 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
     rows.  Each row's values are bit for bit those of its own call (A = 1).
     A weight row that sums to 0, and a row that is not finite, estimate or
     gradient, are a :class:`MarginsError`.
+
+    A scenario that sets one override c in every row, a factor level, a
+    grid value or a row of means, has p = 1/(1 + exp(-c) exp(-r)) =
+    exp(c) / (exp(c) + exp(-r)) for the offsets r: one exponential per row
+    and one per scenario, not one per pair, and an add and a divide per
+    element.
+    Where a factor may over- or underflow, a row a with any |r| > 708 or a
+    scenario with |c_as| > 708, the pair (a, s) takes expit(r + c); the
+    choice reads that row and that scenario alone.  An effect at each row's
+    observed value takes expit of each row's own linear predictor.
     """
     B = np.atleast_2d(beta)
     weights = None if weights is None else np.atleast_2d(weights)
@@ -334,7 +352,9 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
     A, (n, k) = len(B), X.shape[-2:]
     kept = B.copy()  # the overridden columns add an exact +0.0 to the offset
     kept[:, [*plan.fcols, *(c for c in (plan.lin, plan.sq) if c is not None)]] = 0.0
-    r = np.matmul(X, kept[:, :, None])[..., 0]  # (A, n): one X @ b0 per row
+    # (A, n): one X @ b0 per row of beta, each row its own product
+    r = (np.matmul(X, kept[:, :, None])[..., 0] if X.ndim == 3
+         else _linear_predictors(kept, X, rows=1))
     zero = np.zeros((A, 1, 1))
     b_lin = zero if plan.lin is None else B[:, plan.lin, None, None]
     b_sq = zero if plan.sq is None else B[:, plan.sq, None, None]
@@ -344,14 +364,30 @@ def _evaluate(plan: _Plan, beta: np.ndarray, weights=None):
     S = len(plan.values)
     est = np.empty((A, S))
     G = np.empty((A, k, S)) if gradients else None
+    if not plan.shift:
+        # the factored odds: p = e^c / (e^c + e^-r).  A factor within e^+-708
+        # is a normal double, so their sum cannot overflow, and the quotient
+        # underflows only where p < 2.2e-308 anyway; the pairs with a factor
+        # beyond keep expit(r + c)
+        v = plan.values
+        c = fixed + b_lin[:, 0] * v + b_sq[:, 0] * (v * v)  # (A, S)
+        er, ec = np.exp(-r), np.exp(c)
+        beyond = ~(np.abs(r) <= _FACTORED).all(axis=-1)[:, None] | ~(np.abs(c) <= _FACTORED)
 
     # a function per block, so that a block's arrays are freed before the
     # next block allocates its own; a block is replicates x scenarios x rows,
     # so each per-scenario mean is a contiguous row sum
     def block(ab: slice, sb: slice):
         u = plan.values[sb, None] + (own[ab] if own.ndim == 3 else own)
-        eta = r[ab, None] + (fixed[ab, sb, None] + b_lin[ab] * u + b_sq[ab] * (u * u))
-        P = expit(eta, out=eta)
+        if plan.shift:  # an override per row: one expit per row and scenario
+            eta = r[ab, None] + (fixed[ab, sb, None] + b_lin[ab] * u + b_sq[ab] * (u * u))
+            P = expit(eta, out=eta)
+        else:
+            P = np.add(ec[ab, sb, None], er[ab, None])
+            np.divide(ec[ab, sb, None], P, out=P)
+            far = beyond[ab, sb]
+            if far.any():
+                P[far] = expit(r[ab, None] + c[ab, sb, None])[far]
         if not (plan.slope or gradients):  # a bootstrap of predictions reads p alone
             F = P
         else:
@@ -471,15 +507,24 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
     10% failures is an error.  ``workers`` is accepted for compatibility and
     ignored.
     """
+    return _bootstrap(design, (request,), reps, seed)[0]
+
+
+def _bootstrap(design: DesignMatrix, requests: Sequence[MarginRequest], reps: int,
+               seed: int) -> list[BootstrapResult]:
+    """:func:`bootstrap_se` of each of ``requests``, from one resample and
+    refit loop: each block's refits are evaluated under every request, so
+    each result is that of its own call."""
     if reps < 100:
         raise MarginsError(f"bootstrap needs at least 100 replicates, got {reps}")
     if seed < 0:
         raise MarginsError(f"bootstrap seed must be non-negative, got {seed}")
-    plan = _compile(design, request)
-    full_est, _ = _evaluate(plan, fit(design).beta)
+    plans = [_compile(design, request) for request in requests]
+    beta = fit(design).beta
+    full_est = [_evaluate(plan, beta)[0] for plan in plans]
     n = design.n
     children = np.random.SeedSequence(seed).spawn(reps)
-    kept = []
+    kept = [[] for _ in plans]
     for b0 in range(0, reps, _BLOCK_COLUMNS):
         block = children[b0:b0 + _BLOCK_COLUMNS]
         # replicate b's draws, offset by b*n: one bincount counts every row
@@ -489,14 +534,17 @@ def bootstrap_se(design: DesignMatrix, request: MarginRequest, reps: int, seed: 
         fits = _newton(design, C)
         ok = [b for b, fr in enumerate(fits) if not isinstance(fr, FitError)]
         if ok:
-            kept.append(_evaluate(plan, np.array([fits[b].beta for b in ok]), C[ok])[0])
+            B = np.array([fits[b].beta for b in ok])
+            for plan, estimates in zip(plans, kept):
+                estimates.append(_evaluate(plan, B, C[ok])[0])
 
-    failures = reps - sum(map(len, kept))
+    failures = reps - sum(map(len, kept[0]))
     if failures > 0.10 * reps:
         raise MarginsError(f"{failures}/{reps} bootstrap replicates failed to fit")
-    ses = np.vstack(kept).std(axis=0, ddof=1)
-    rows = _margin_rows(plan, full_est, ses, request.ci_level)
-    return BootstrapResult(rows=rows, replicates=reps, failures=failures)
+    return [BootstrapResult(rows=_margin_rows(plan, est, np.vstack(estimates).std(axis=0, ddof=1),
+                                              request.ci_level),
+                            replicates=reps, failures=failures)
+            for plan, request, est, estimates in zip(plans, requests, full_est, kept)]
 
 
 def margins_tsv(rows: Sequence[MarginRow]) -> str:

@@ -403,6 +403,42 @@ def test_margins_bootstrap_runs(workspace):
     assert all(float(row.split("\t")[3]) > 0 for row in rows)
 
 
+def test_a_bootstrap_of_two_requests_refits_each_replicate_once(workspace, tmp_path,
+                                                                monkeypatch, capsys):
+    # --aap C(univ) is an AAP and an AME request: one resample and refit loop
+    # serves both (4 blocks of 100 replicates, and one full-sample fit), and
+    # gives each request the rows of its own bootstrap_se call
+    from logitmargins import margins
+    calls = {"_newton": 0, "fit": 0}
+    seen = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    def recorded(design, requests, *args):
+        seen.append((design, requests))
+        return bootstrap(design, requests, *args)
+
+    for name in calls:
+        monkeypatch.setattr(margins, name, counted(name, getattr(margins, name)))
+    bootstrap = margins._bootstrap
+    monkeypatch.setattr(margins, "_bootstrap", recorded)
+    table = tmp_path / "boot.tsv"
+    assert cli.main(["margins", "--model", str(workspace / "m.json"),
+                     "--data", str(workspace / "s.csv"), "--aap", "C(univ)",
+                     "--vce", "bootstrap", "--reps", "100", "--seed", "9",
+                     "--table", str(table)]) == 0
+    assert calls == {"_newton": 4, "fit": 1}
+    (design, requests), = seen
+    assert len(requests) == 2
+    rows = [row for req in requests for row in lm.bootstrap_se(design, req, 100, 9).rows]
+    assert table.read_text() == margins.margins_tsv(rows)
+    assert capsys.readouterr().out == cli._human_margins(rows) + "\n"
+
+
 def test_plot_csv_quotes_a_label_with_a_comma(tmp_path):
     rng = np.random.default_rng(3)
     x = rng.normal(size=200)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -402,6 +405,31 @@ def test_a_bootstrap_makes_one_newton_call_and_one_evaluation_per_block(corpus2k
     assert calls == {"_newton": 8, "_evaluate": 8}
 
 
+@pytest.mark.parametrize("kind, target, at, calls", [
+    ("aap", "univ", None, 0), ("ame", "univ", None, 0), ("apm", "univ", None, 0),
+    ("aprv", "univ", ("jif", (0.0, 4.5, 9.0)), 0), ("aap", "jif", ("jif", (0.0, 9.0)), 0),
+    ("ame", "jif", ("jif", (0.0, 9.0)), 0), ("mem", "jif", ("jif", (0.0, 9.0)), 0),
+    ("ame", "jif", None, 1), ("mem", "jif", None, 1)])
+def test_only_an_observed_value_plan_takes_an_expit_per_row(corpus2k, monkeypatch,
+                                                            kind, target, at, calls):
+    # a scenario that overrides every row alike has the odds exp(-r) exp(-c):
+    # with moderate coefficients no expit runs, weighted or not, while a
+    # shift of each row's own value (one override per row) takes one
+    from logitmargins import margins
+    fr, design = corpus2k
+    plan = margins._compile(design, lm.MarginRequest(kind, target, at=at))
+    counted, kernel_expit = [], margins.expit
+
+    def expit_counted(x, out=None):
+        counted.append(x.shape)
+        return kernel_expit(x, out=out)
+
+    monkeypatch.setattr(margins, "expit", expit_counted)
+    margins._evaluate(plan, fr.beta)
+    margins._evaluate(plan, np.vstack([fr.beta] * 3), np.ones((3, design.n)))
+    assert len(counted) == 2 * calls
+
+
 @st.composite
 def resample_blocks(draw):
     """A small design (intercept, a factor level held by 1-5 rows, a binary
@@ -502,6 +530,34 @@ def test_a_newton_block_holds_one_product_matrix(corpus2k):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (n * k * (k + 1) // 2 + 8 * len(C) * n), peak
+
+
+LINEAR_PREDICTOR_BYTES = """
+import hashlib
+import numpy as np
+from logitmargins.logit import _linear_predictors
+rng = np.random.default_rng(40013)
+X = rng.normal(size=(40001, 12))
+b = rng.normal(size=(1, 12))
+B = rng.normal(size=(32, 12))
+for eta in (_linear_predictors(b, X), _linear_predictors(B, X), _linear_predictors(B, X, rows=1)):
+    print(hashlib.sha256(eta.tobytes()).hexdigest())
+"""
+
+
+def test_linear_predictors_do_not_depend_on_the_blas_thread_count():
+    # one coefficient row over 40001 data rows is a matrix-vector product,
+    # which OpenBLAS splits between threads in a way that changes its bits;
+    # pieces of at most 8192 data rows keep them, for 1, 8 and 32 rows
+    src = str(Path(lm.__file__).parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        r = subprocess.run([sys.executable, "-W", "error", "-c", LINEAR_PREDICTOR_BYTES],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        hashes.append(r.stdout.split())
+    assert len(hashes[0]) == 3 and hashes[0] == hashes[1]
 
 
 def test_convergence_needs_a_small_score():

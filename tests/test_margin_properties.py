@@ -9,7 +9,8 @@ with any fields at all: each is rejected, or reads every field it sets.
 Another runs requests of more than 16 scenarios at several block widths,
 and one gives extreme coefficients, grids and covariances: each request is
 rejected with a MarginsError, or gives finite rows.  One more evaluates
-every shape under integer row weights against the materialised rows.
+every shape under integer row weights against the materialised rows, and
+the last mixes offsets and overrides beyond the factored kernel's +-708.
 """
 
 import dataclasses
@@ -397,3 +398,37 @@ def test_a_batched_evaluation_equals_its_rows(fit_case, shape, grid, A, block_by
             row, row_grad = _evaluate(plan, B[a:a + 1])
             assert np.array_equal(est[a:a + 1], row) and np.array_equal(grad[a:a + 1], row_grad)
     assert none is None and weighted.shape == est.shape == (A, len(plan.labels))
+
+
+# coefficient rows whose offsets pass +-708 (a large coefficient on the
+# bystander z, or on x where x is not overridden), and scenarios whose
+# override passes it (a large level or x coefficient): the pairs they touch
+# keep expit(r + c), the others take the factored odds, and each row is
+# still that of its own call and of the loop oracles
+@given(toy_fits(), st.sampled_from(BATCH_SHAPES),
+       st.lists(st.sampled_from(GRID_POINTS), min_size=1, max_size=15, unique=True),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_a_batch_with_overrides_beyond_708_equals_its_rows_and_the_oracles(
+        fit_case, shape, grid, A, seed):
+    fr, design, oracle = fit_case
+    kind, target, with_grid = shape
+    request = MarginRequest(kind, target, at=("x", tuple(sorted(grid))) if with_grid else None)
+    plan = _compile(design, request)
+    tm = design.term_map
+    levels = tm.factor_levels["g"]
+    rng = np.random.default_rng(seed)
+    B = fr.beta + rng.normal(scale=0.3, size=(A, design.k))
+    z = design.X[:, tm.linear_col("z")]
+    for a in range(A):
+        sign = rng.choice((-1.0, 1.0))
+        if rng.random() < 0.5:  # some |r| of this row passes 708
+            B[a, tm.linear_col("z")] = sign * rng.uniform(710.0, 1500.0) / np.abs(z).max()
+        if rng.random() < 0.5:  # some scenarios' |c| pass 708, and others do not
+            B[a, tm.indicator_col("g", levels[rng.integers(1, len(levels))])] = sign * 800.0
+            B[a, tm.linear_col("x")] = -sign * 250.0
+    est, grad = _evaluate(plan, B)
+    for a in range(A):
+        row, row_grad = _evaluate(plan, B[a:a + 1])
+        assert np.array_equal(est[a:a + 1], row) and np.array_equal(grad[a:a + 1], row_grad)
+        want = oracle_rows(oracle, B[a], request, levels)
+        assert np.allclose(est[a], want, rtol=RTOL, atol=ATOL), (a, est[a], want)
