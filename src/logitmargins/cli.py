@@ -212,10 +212,10 @@ def _build_requests(args, factors) -> list[mg.MarginRequest]:
     return [request(bool(args.aap), var, base)]
 
 
-def _human_margins(rows) -> str:
+def _human_margins(rows, ci: float) -> str:
     width = max(len(r.label) for r in rows) + 2
     lines = [f"{'':<{width}}{'at':>8}{'estimate':>10}{'std err':>10}"
-             f"{'z':>9}{'p':>8}  [95% CI]"]
+             f"{'z':>9}{'p':>8}  [{100 * ci:g}% CI]"]
     for r in rows:
         at = "" if r.at_value is None else f"{r.at_value:g}"
         lines.append(
@@ -290,7 +290,7 @@ def cmd_margins(args) -> int:
         print(f"warning: {len(flagged)} row(s) evaluated outside the observed "
               f"range at {vals}{more}", file=sys.stderr)
 
-    print(_human_margins(rows))
+    print(_human_margins(rows, args.ci))
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:
             fh.write(mg.margins_tsv(rows))
@@ -387,13 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _synth_errors() -> tuple:
-    # a SynthError can be raised only once synth is imported, and only synth
-    # and whoever reads lm.SynthError import it: fit and margins never do
-    synth_mod = sys.modules.get(f"{__package__}.synth")
-    return () if synth_mod is None else (synth_mod.SynthError,)
-
-
 def main(argv=None) -> int:
     """Run one command.  Exit status 0 on success; 1 with one ``error:`` line
     for a library error, an unreadable or unwritable file, or running out of
@@ -402,7 +395,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DataError, FormulaError, logit_mod.FitError, mg.MarginsError, OSError,
-            MemoryError, *_synth_errors()) as exc:
+            MemoryError) as exc:  # a SynthError is a DataError
         _err(str(exc) or "out of memory")  # numpy's MemoryError names the array
         return 1
 

@@ -190,7 +190,7 @@ def load_csv(path, schema: Sequence) -> Dataset:
 def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV file into its stripped, distinct header names and one list
     of stripped cells per column.  Empty lines are skipped; a row's absent
-    cells read as ``""``."""
+    cells read as ``""``, and a cell beyond the header must be empty."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -206,7 +206,14 @@ def _csv_columns(path) -> tuple[list[str], list[list[str]]]:
     # the header row gives each name a column even with no cells below it;
     # stripping while the rows are alive peaks lower than a later copy would
     columns = itertools.zip_longest(header, *rows, fillvalue="")
-    return header, [list(map(str.strip, itertools.islice(col, 1, None))) for col in columns]
+    columns = [list(map(str.strip, itertools.islice(col, 1, None))) for col in columns]
+    # the cells beyond the header, row by row: none unless a row is longer
+    for row, cells in enumerate(zip(*columns[len(header):]), 1):
+        cell = next(filter(None, cells), None)
+        if cell is not None:
+            raise DataError(f"{path}: data row {row} has a cell {cell!r} beyond the "
+                            f"header's {len(header)} columns")
+    return header, columns
 
 
 def _make_column(spec: ColumnSpec, tokens: list[str]) -> Column:

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import DataError, Dataset, readonly_copy
+from .dataset import Dataset, readonly_copy
 
 
 class FormulaError(ValueError):
@@ -35,6 +35,8 @@ INDICATOR = "indicator"
 IDENTITY = "identity"
 SQUARE = "square"
 TRANSFORMS = (INTERCEPT, INDICATOR, IDENTITY, SQUARE)
+# the largest double whose square is finite: no product of two design values overflows
+_MAX_VALUE = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,9 @@ class TermMap:
 class DesignMatrix:
     """Dense design matrix, response vector, and the term map that built them.
 
-    Construction raises :class:`FormulaError` unless ``X`` is a finite n x k
-    matrix, k the term map's width, and ``y`` n values in {0, 1}.  Any n is
+    Construction raises :class:`FormulaError` unless ``X`` is an n x k
+    matrix, k the term map's width, of finite values within +-1.341e154 (so
+    every product of two is finite), and ``y`` n values in {0, 1}.  Any n is
     a design: a fit needs n > k, a margin on new rows does not.
     """
 
@@ -282,8 +285,14 @@ class DesignMatrix:
             raise FormulaError("design width disagrees with term map")
         if not np.isin(self.y, (0.0, 1.0)).all():
             raise FormulaError("response must be 0/1")
-        if not np.isfinite(self.X).all():
-            raise FormulaError("design matrix has non-finite values")
+        X = self.X
+        # min and max make no n x k temporary, and a NaN fails both tests
+        if X.size and not (-_MAX_VALUE <= X.min() and X.max() <= _MAX_VALUE):
+            bad = ~(np.abs(X) <= _MAX_VALUE)
+            j = bad.any(axis=0).argmax()
+            raise FormulaError(f"design column {self.term_map.labels[j]} holds "
+                               f"{X[bad[:, j].argmax(), j]:g}: every design value must be "
+                               f"finite and within +-{_MAX_VALUE:.4g}")
 
     @property
     def n(self) -> int:
@@ -309,8 +318,8 @@ def build_design(
     pins the order and makes an unseen level a :class:`DataError`, and pass
     the stored ``term_map.reference``.  ``reference`` overrides the
     reference level per factor (default: the first level); a key that is
-    not a factor term of ``spec`` raises :class:`FormulaError`.  A squared
-    term that overflows raises :class:`DataError`.
+    not a factor term of ``spec`` raises :class:`FormulaError`, and so does
+    a value, a square included, that :class:`DesignMatrix` refuses.
     """
     reference = dict(reference or {})
     factors = {t.var for t in spec.terms if t.transform == INDICATOR}
@@ -358,11 +367,8 @@ def build_design(
             if col.kind != "continuous":
                 raise FormulaError(f"squared term needs a continuous column, got {col.kind}")
             roles.append(ColumnRole(term.var, SQUARE))
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # the design refuses an inf
                 cols.append(col.values.astype(np.float64) ** 2)
-            if not np.isfinite(cols[-1]).all():
-                raise DataError(f"squared term {roles[-1].label} overflows: some |{term.var}| "
-                                f"exceeds {np.sqrt(np.finfo(np.float64).max):.4g}")
 
     term_map = TermMap(columns=tuple(roles), reference=refmap, factor_levels=levmap)
     X = np.column_stack(cols)

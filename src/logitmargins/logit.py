@@ -177,16 +177,15 @@ def _linear_predictors(B: np.ndarray, X: np.ndarray, rows: int = _ROWS) -> np.nd
 
 def _products(X: np.ndarray) -> np.ndarray:
     """The k(k+1)/2 column products x_i*x_j (i <= j, row-major over the upper
-    triangle) of the n x k design ``X``, stored products x rows.  A product
-    beyond the float64 range is inf, with no warning."""
+    triangle) of the n x k design ``X``, stored products x rows; each is
+    finite, since a design's values are within the root of the largest double."""
     XT = np.ascontiguousarray(X.T)
     k, n = XT.shape
     Zt = np.empty((k * (k + 1) // 2, n))
     start = 0
-    with np.errstate(over="ignore"):
-        for i in range(k):
-            np.multiply(XT[i:], XT[i], out=Zt[start:start + k - i])
-            start += k - i
+    for i in range(k):
+        np.multiply(XT[i:], XT[i], out=Zt[start:start + k - i])
+        start += k - i
     return Zt
 
 
@@ -202,7 +201,7 @@ def _gram_index(k: int) -> np.ndarray:
 def _grams(Zt: np.ndarray, W: np.ndarray) -> np.ndarray:
     """X'diag(w)X as (A, k, k) for each of the A rows w of ``W``, from the
     column products ``Zt`` of X: one tiled product, gathered into the
-    symmetric matrices.  Overflow gives inf or NaN entries, with no warning."""
+    symmetric matrices.  A sum that overflows gives inf or NaN, with no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         flat = _matmul_tiles(W, Zt.T)
     return flat[:, _gram_index((math.isqrt(8 * len(Zt) + 1) - 1) // 2)]
@@ -319,11 +318,10 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     and its evaluation at beta = 0, where every p is 1/2 and the negative
     Hessian is G/4.  A fit ends before iterating on a rank deficiency (the
     rank check runs only on a fit whose Gram :func:`_clears_rank` does not
-    clear, or that weights a row whose column products overflow), else on
-    :func:`_separations`.  After each evaluation, one verdict per fit takes
-    the first that holds: a linear predictor X beta whose weighted standard
-    deviation sqrt(beta'S beta) exceeds 30, whatever the coding of the
-    columns (:class:`SeparationError`);
+    clear), else on :func:`_separations`.  After each evaluation, one
+    verdict per fit takes the first that holds: a linear predictor X beta
+    whose weighted standard deviation sqrt(beta'S beta) exceeds 30, whatever
+    the coding of the columns (:class:`SeparationError`);
     ``max_iter`` iterations (:class:`ConvergenceError`); a negative Hessian
     without a Cholesky factor (:class:`FitError`); a Newton decrement below
     ``tol**2`` (a :class:`FitResult`); a non-finite step (:class:`FitError`).
@@ -342,18 +340,8 @@ def _newton(design: DesignMatrix, C=None, *, max_iter: int = 100,
     C = np.ones((1, n)) if C is None else np.asarray(C, dtype=np.float64)
     Zt = _products(X)
     G, Gy = _grams(Zt, C), _grams(Zt, C * y)
-    overflowed = np.zeros(len(C), dtype=bool)
-    if not np.isfinite(G).all():
-        # a row whose products overflow makes every Gram NaN, weight 0 or not
-        # (0*inf): zero its products, and send each fit that weights it to the
-        # rank check, which fails it (sigma_min <= sqrt(sum(c)) along the
-        # intercept, sigma_max >= 1.3e154, the root of the largest double)
-        bad = ~np.isfinite(Zt).all(axis=0)
-        Zt[:, bad] = 0.0
-        G, Gy = _grams(Zt, C), _grams(Zt, C * y)
-        overflowed = (C[:, bad] != 0).any(axis=1)
     out = _separations(X, C, G, Gy, term_map)
-    for b in np.flatnonzero(~_clears_rank(G, n) | overflowed):
+    for b in np.flatnonzero(~_clears_rank(G, n)):
         try:
             _check_rank(X * np.sqrt(C[b])[:, None], term_map)
         except RankDeficiencyError as exc:

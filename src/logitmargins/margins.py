@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .formula import SQUARE, DesignMatrix, TermMap
+from .formula import SQUARE, _MAX_VALUE, DesignMatrix, TermMap
 # bench/tracer.py wraps margins.substitute_matrix and margins.fit by name
 from .formula import substitute_matrix  # noqa: F401
 from .logit import (FitError, FitResult, _linear_predictors, _matmul_tiles, _newton, expit, fit,
@@ -286,12 +286,9 @@ def _compile(design: DesignMatrix, request: MarginRequest) -> _Plan:
         lin, sq = tm.linear_col(var), tm.square_col(var)
         lo, hi = float(arr[:, lin].min()), float(arr[:, lin].max())
         extrapolated = [at is not None and not lo <= at <= hi for _, at, _, _ in specs]
-    if sq is not None:
-        with np.errstate(over="ignore"):
-            overflows = not np.isfinite(values * values).all()
-        if overflows:
-            raise MarginsError(f"squared term {tm.labels[sq]} overflows: some grid value "
-                               f"|{var}| exceeds {np.sqrt(np.finfo(np.float64).max):.4g}")
+    if sq is not None and not (np.abs(values) <= _MAX_VALUE).all():
+        raise MarginsError(f"squared term {tm.labels[sq]} overflows: some grid value "
+                           f"|{var}| exceeds {_MAX_VALUE:.4g}")
     return _Plan(X=arr, term_map=tm, atmeans=atmeans,
                  fcols=fcols, fvals=fvals, lin=lin, sq=sq, values=values,
                  shift=shift, slope=slope, L=L,

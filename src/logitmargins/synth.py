@@ -20,14 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Column, Dataset
+from .dataset import Column, DataError, Dataset
 from .formula import build_design, parse_formula
 from .logit import expit
 
 DEFAULT_COEFFS = "table2_model3.json"
 
 
-class SynthError(ValueError):
+class SynthError(DataError):
     """Invalid generator configuration."""
 
 

@@ -239,7 +239,8 @@ def fd_gradient(f, beta: np.ndarray, h: float = 1e-4) -> np.ndarray:
 
 
 def _csv_rows(path):
-    """The stripped header names and the non-empty rows of a CSV file."""
+    """The stripped header names and the non-empty rows of a CSV file, none
+    of which has a non-empty cell beyond the header."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -252,7 +253,13 @@ def _csv_rows(path):
             raise DataError(f"{path}: empty file") from None
         if len(set(header)) < len(header):
             raise DataError(f"{path}: column names are not unique")
-        return header, [row for row in reader if row]
+        rows = [row for row in reader if row]
+    for i, row in enumerate(rows, 1):
+        extra = [cell.strip() for cell in row[len(header):] if cell.strip()]
+        if extra:
+            raise DataError(f"{path}: data row {i} has a cell {extra[0]!r} beyond the "
+                            f"header's {len(header)} columns")
+    return header, rows
 
 
 def _is_float(token: str) -> bool:

@@ -436,7 +436,7 @@ def test_a_bootstrap_of_two_requests_refits_each_replicate_once(workspace, tmp_p
     assert len(requests) == 2
     rows = [row for req in requests for row in lm.bootstrap_se(design, req, 100, 9).rows]
     assert table.read_text() == margins.margins_tsv(rows)
-    assert capsys.readouterr().out == cli._human_margins(rows) + "\n"
+    assert capsys.readouterr().out == cli._human_margins(rows, 0.95) + "\n"
 
 
 def test_plot_csv_quotes_a_label_with_a_comma(tmp_path):
@@ -799,9 +799,9 @@ def test_saturating_coefficient_gives_saturated_rows(workspace, tmp_path):
 
 
 def test_huge_covariate_is_one_rank_error_line(tmp_path):
-    # with an intercept, x of order 1e160 is numerically dependent on it; no
+    # with an intercept, x of order 1e150 is numerically dependent on it; no
     # column moment is computed for a fit the rank check has already failed
-    x = np.random.default_rng(1).normal(size=40) * 1e160
+    x = np.random.default_rng(1).normal(size=40) * 1e150
     rows = [f"{i % 2},{v!r}" for i, v in enumerate(x.tolist())]
     (tmp_path / "huge.csv").write_text("y,x\n" + "\n".join(rows) + "\n")
     r = run_cli("fit", "--data", str(tmp_path / "huge.csv"), "--model", "y ~ x")
@@ -811,16 +811,42 @@ def test_huge_covariate_is_one_rank_error_line(tmp_path):
 
 
 def test_overflowing_column_products_are_one_rank_error_line(tmp_path):
-    # x and z of order 1e155: x*z, x^2 and z^2 overflow, so the Gram screen
+    # x and z of order 4e153, within the design's bound: each product is
+    # finite, but the Gram sums of x^2 and z^2 overflow, so the Gram screen
     # sees a non-finite Gram (with no warning) and the rank check decides
     rng = np.random.default_rng(1)
-    x, z = rng.normal(size=(2, 40)) * 1e155
+    x, z = rng.normal(size=(2, 40)) * 4e153
+    assert np.abs([x, z]).max() <= 1.3407807929942596e154
     rows = [f"{i % 2},{a!r},{b!r}" for i, (a, b) in enumerate(zip(x.tolist(), z.tolist()))]
     (tmp_path / "huge.csv").write_text("y,x,z\n" + "\n".join(rows) + "\n")
     r = run_cli("fit", "--data", str(tmp_path / "huge.csv"), "--model", "y ~ x + z")
     assert r.returncode == 1 and r.stdout == ""
     assert r.stderr.splitlines() == [
         "error: design matrix is rank deficient; dependent columns: intercept"]
+
+
+@pytest.mark.parametrize("x, formula, named", [
+    ("1e155", "y ~ x", "x holds 1e+155"), ("1e160", "y ~ x", "x holds 1e+160"),
+    ("1e200", "y ~ x + x^2", "x holds 1e+200"), ("1e100", "y ~ x + x^2", "x^2 holds 1e+200")])
+def test_a_value_beyond_the_design_bound_is_one_error_line(tmp_path, x, formula, named):
+    # every product of two design values must be finite: the design refuses a
+    # value beyond 1.341e154, the root of the largest double, and names its column
+    rows = "".join(f"{i % 2},{i}\n" for i in range(12))
+    (tmp_path / "big.csv").write_text(f"y,x\n1,{x}\n" + rows)
+    r = run_cli("fit", "--data", str(tmp_path / "big.csv"), "--model", formula)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.splitlines() == [f"error: design column {named}: every design value "
+                                     "must be finite and within +-1.341e+154"]
+
+
+def test_the_human_table_names_its_interval_level(workspace):
+    base = ["margins", "--model", str(workspace / "m.json"), "--data",
+            str(workspace / "s.csv"), "--aap", "C(univ)"]
+    # it printed [95% CI] above intervals of any level
+    for flags, level in (([], "95"), (["--ci", "0.5"], "50"), (["--ci", "0.999"], "99.9")):
+        r = run_cli(*base, *flags)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[0].endswith(f"  [{level}% CI]"), r.stdout
 
 
 def test_a_raw_year_and_its_square_fit(tmp_path):
@@ -947,8 +973,8 @@ VALID = {"fit": ["--data", "{data}", "--model", MODEL1],
          "synth": ["--n", "10", "--seed", "1", "--out", "{tmp}/x.csv"]}
 # a real input that fails with the class, where one exists, and its message
 REAL = {
-    ("fit", "DataError"): (["--data", "{big}", "--model", "y ~ x + x^2"],
-                           "squared term x^2 overflows: some |x| exceeds 1.341e+154"),
+    ("fit", "DataError"): (["--data", "{long}", "--model", "y ~ x"],
+                           "data row 1 has a cell '7.5' beyond the header's 2 columns"),
     ("fit", "FormulaError"): (["--data", "{data}", "--model", MODEL1, "--ref", "nope=univ1"],
                               "reference level given for 'nope'"),
     ("fit", "FitError"): (["--data", "{separated}", "--model", "y ~ x"], "separation"),
@@ -978,10 +1004,10 @@ def test_each_library_error_is_one_error_line(workspace, tmp_path, monkeypatch, 
     csv = workspace / "s.csv"
     header, *rows = csv.read_text().splitlines(keepends=True)
     paths = {"data": csv, "model": workspace / "m.json", "tmp": tmp_path,
-             "missing": tmp_path / "no" / "such", "big": tmp_path / "big.csv",
+             "missing": tmp_path / "no" / "such", "long": tmp_path / "long.csv",
              "separated": tmp_path / "sep.csv", "univ1": tmp_path / "univ1.csv",
              "formula": tmp_path / "formula.json", "notjson": tmp_path / "notjson.json"}
-    paths["big"].write_text("y,x\n1,1e200\n0,1\n1,2\n0,3\n")
+    paths["long"].write_text("y,x\n1,1,7.5\n0,1\n1,2\n0,3\n")
     paths["separated"].write_text("y,x\n0,1\n0,2\n1,3\n1,4\n")
     paths["univ1"].write_text(header + "".join(r for r in rows if ",univ1," in r))
     paths["formula"].write_text('{"formula": "y ~ x +", "coefficients": {}}')

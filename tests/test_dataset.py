@@ -262,6 +262,24 @@ def test_sniff_schema(tmp_path):
     assert kinds == {"y": "binary", "g": "categorical", "x": "continuous"}
 
 
+def test_a_cell_beyond_the_header_is_an_error_unless_empty(tmp_path):
+    # row 5 has a third cell under a two-name header; it used to be dropped unread
+    rows = [f"{i % 2},{i}.5" for i in range(200)]
+    rows[4] += ",7.5"
+    p = write(tmp_path, "y,x\n" + "\n".join(rows) + "\n")
+    message = "data row 5 has a cell '7.5' beyond the header's 2 columns"
+    for read in (lambda p: lm.load_csv(p, [("y", "binary"), ("x", "continuous")]),
+                 lm.sniff_schema):
+        with pytest.raises(DataError, match=message):
+            read(p)
+    # a trailing delimiter, or a padded empty cell, is no cell
+    rows[4] = "0,4.5, ,"
+    rows[9] += ","
+    p = write(tmp_path, "y,x\n" + "\n".join(rows) + "\n")
+    assert lm.load_csv(p, [("y", "binary"), ("x", "continuous")]).n_rows == 200
+    assert [s.kind for s in lm.sniff_schema(p)] == ["binary", "continuous"]
+
+
 def test_synthetic_university_shares_near_targets(corpus15k):
     # generator targets: 7.4 / 3.3 / 55.4 / 33.9 percent
     _, ds = corpus15k

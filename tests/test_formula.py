@@ -206,13 +206,19 @@ def test_a_malformed_formula_term_map_or_design_is_named(toy_ds, make, message):
 
 
 def test_overflowing_square_is_named():
-    ds = lm.Dataset((Column("y", "binary", np.array([1.0, 0.0, 1.0])),
-                     Column("x", "continuous", np.array([1.0, 1e200, 2.0]))))
-    # pyproject turns the overflow warning into an error, so this also checks
-    # that the warning is silenced
-    with pytest.raises(lm.DataError, match=r"squared term x\^2 overflows"):
-        build_design(ds, parse_formula("y ~ x + x^2"))
-    assert build_design(ds, parse_formula("y ~ x")).X[1, 1] == 1e200
+    def design(x, formula):
+        ds = lm.Dataset((Column("y", "binary", np.array([1.0, 0.0, 1.0])),
+                         Column("x", "continuous", np.array([1.0, x, 2.0]))))
+        return build_design(ds, parse_formula(formula))
+
+    # the design names the first column beyond its bound: x^2 of 1e100, or x
+    # of 1e200 before its square, which overflows to inf; pyproject turns the
+    # overflow warning into an error, so this also checks that it is silenced
+    for x, formula, column in ((1e100, "y ~ x + x^2", r"x\^2"), (1e200, "y ~ x + x^2", "x"),
+                               (1e200, "y ~ x", "x")):
+        with pytest.raises(FormulaError, match=rf"^design column {column} holds 1e\+200: "):
+            design(x, formula)
+    assert design(1e100, "y ~ x").X[1, 1] == 1e100
 
 
 def test_substitute_factor(toy_ds):

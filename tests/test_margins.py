@@ -410,6 +410,20 @@ def test_grid_validation(toy_fit):
         margin_rows(fr, design, "aap", "x", at=("x", (0.0, float("inf"))))
 
 
+def test_a_grid_value_of_a_squared_term_is_within_the_design_bound(toy_fit):
+    # the bound of a design value, the largest double whose square is finite,
+    # compiles; the next double out is refused with the square's message
+    _, design = toy_fit
+    bound = 1.3407807929942596e154
+    beyond = math.nextafter(bound, math.inf)
+    plan = _compile(design, lm.MarginRequest("aap", "x", at=("x", (-bound, 0.0, bound))))
+    assert plan.values.tolist() == [-bound, 0.0, bound]
+    for grid in ((-beyond, 0.0), (0.0, beyond)):
+        with pytest.raises(MarginsError, match=r"^squared term x\^2 overflows: some grid "
+                                               r"value \|x\| exceeds 1\.341e\+154$"):
+            _compile(design, lm.MarginRequest("aap", "x", at=("x", grid)))
+
+
 def test_unknown_variable_and_level(toy_fit):
     fr, design = toy_fit
     with pytest.raises(MarginsError):
